@@ -17,7 +17,8 @@ Per standard-sweep workload it reports:
 Determinism is asserted across repetitions (identical engine events and
 makespans), so the wall-clock spread is pure host noise, never changed
 simulated work.  Regenerates
-``benchmarks/results/BENCH_engine_speed.json``.
+``benchmarks/results/BENCH_engine_speed.json``, either under pytest or
+as ``PYTHONPATH=src python benchmarks/bench_engine_speed.py``.
 """
 
 from __future__ import annotations
@@ -113,3 +114,7 @@ def test_engine_speed():
         # a vanishing hot section means the profiler attributed nothing —
         # the instrumentation went missing, not the workload got fast
         assert entry["hot_section_share"] > 0.05, (name, entry["hot_section"])
+
+
+if __name__ == "__main__":
+    test_engine_speed()

@@ -30,28 +30,23 @@ from repro.runtime.api import Block, IterativeMapReduceApp
 _OBJECTIVE_KEY = "objective"
 
 
-def fuzzy_memberships(
-    points: np.ndarray, centers: np.ndarray, m: float = 2.0
-) -> np.ndarray:
-    """Equation (13): membership matrix ``U`` of shape ``(n, M)``.
-
-    ``U_ij = 1 / sum_k (||x_i - c_j|| / ||x_i - c_k||)^(2/(m-1))``,
-    computed stably as normalized inverse-power distances.  Points that
-    coincide with a center get a hard membership of 1 there.
-    """
-    require_positive("m", m)
-    if m <= 1.0:
-        raise ValueError(f"fuzzifier m must be > 1, got {m}")
-    x = np.asarray(points, dtype=np.float64)
-    c = np.asarray(centers, dtype=np.float64)
-    # Squared distances via the expansion trick (never negative after clip).
+def _sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances ``||x_i - c_j||^2`` of shape ``(n, M)``, via the
+    expansion trick (never negative after the clip)."""
     d2 = (
         np.sum(x * x, axis=1)[:, None]
         - 2.0 * x @ c.T
         + np.sum(c * c, axis=1)[None, :]
     )
     np.clip(d2, 0.0, None, out=d2)
+    return d2
 
+
+def _memberships(d2: np.ndarray, m: float) -> np.ndarray:
+    """Equation (13) from the squared distances :func:`_sq_distances`."""
+    require_positive("m", m)
+    if m <= 1.0:
+        raise ValueError(f"fuzzifier m must be > 1, got {m}")
     exponent = 1.0 / (m - 1.0)  # (d^2)^(1/(m-1)) == d^(2/(m-1))
     zero_mask = np.isclose(d2, 0.0)
     zero_rows = zero_mask.any(axis=1)
@@ -62,11 +57,25 @@ def fuzzy_memberships(
     u = inv / np.sum(inv, axis=1, keepdims=True)
     if np.any(zero_rows):
         # A point sitting exactly on >= 1 center: all mass on the nearest.
-        hard = np.zeros((int(zero_rows.sum()), c.shape[0]))
+        hard = np.zeros((int(zero_rows.sum()), d2.shape[1]))
         nearest = np.argmin(d2[zero_rows], axis=1)
         hard[np.arange(hard.shape[0]), nearest] = 1.0
         u[zero_rows] = hard
     return u
+
+
+def fuzzy_memberships(
+    points: np.ndarray, centers: np.ndarray, m: float = 2.0
+) -> np.ndarray:
+    """Equation (13): membership matrix ``U`` of shape ``(n, M)``.
+
+    ``U_ij = 1 / sum_k (||x_i - c_j|| / ||x_i - c_k||)^(2/(m-1))``,
+    computed stably as normalized inverse-power distances.  Points that
+    coincide with a center get a hard membership of 1 there.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centers, dtype=np.float64)
+    return _memberships(_sq_distances(x, c), m)
 
 
 def cmeans_objective(
@@ -75,14 +84,8 @@ def cmeans_objective(
     """Equation (12): ``J_m = sum_i sum_j u_ij^m ||x_i - c_j||^2``."""
     x = np.asarray(points, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
-    u = fuzzy_memberships(x, c, m)
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ c.T
-        + np.sum(c * c, axis=1)[None, :]
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    return float(np.sum(u**m * d2))
+    d2 = _sq_distances(x, c)
+    return float(np.sum(_memberships(d2, m) ** m * d2))
 
 
 def cmeans_reference(
@@ -172,16 +175,10 @@ class CMeansApp(IterativeMapReduceApp):
     # ------------------------------------------------------------------
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
         x = self.points[block.start : block.stop].astype(np.float64)
-        u = fuzzy_memberships(x, self.centers, self.m)
-        w = u**self.m
+        d2 = _sq_distances(x, self.centers)
+        w = _memberships(d2, self.m) ** self.m
         numerators = w.T @ x  # (M, D)
         denominators = np.sum(w, axis=0)  # (M,)
-        d2 = (
-            np.sum(x * x, axis=1)[:, None]
-            - 2.0 * x @ self.centers.T
-            + np.sum(self.centers * self.centers, axis=1)[None, :]
-        )
-        np.clip(d2, 0.0, None, out=d2)
         objective = float(np.sum(w * d2))
 
         pairs: list[tuple[Any, Any]] = [

@@ -31,6 +31,66 @@ _LL_KEY = "loglik"
 _COV_REG = 1e-6
 
 
+def _component_factor(cov: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """Cholesky factor ``L`` of one covariance and ``log det`` of it.
+
+    Raises ``LinAlgError`` if *cov* is not positive definite and
+    ``ValueError`` if the factor is not finite.
+    """
+    chol = np.asarray_chkfinite(np.linalg.cholesky(cov))
+    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _mixture_factors(
+    weights: np.ndarray, covariances: np.ndarray
+) -> list[tuple[np.floating, np.ndarray, np.floating]]:
+    """Per component ``(log weight, Cholesky factor, log det)``."""
+    return [
+        (np.log(max(weights[m], 1e-300)), *_component_factor(covariances[m]))
+        for m in range(len(covariances))
+    ]
+
+
+def _log_pdf(
+    x: np.ndarray, mean: np.ndarray, chol: np.ndarray, logdet: np.floating
+) -> np.ndarray:
+    """Log of Equation (15) for one factored component, for every point."""
+    from scipy.linalg.lapack import dtrtrs
+
+    d = x.shape[1]
+    diff = np.asarray_chkfinite(x - mean)
+    # Solve L z = diff^T => z = L^{-1} diff^T; Mahalanobis = ||z||^2.  For
+    # a C-ordered L this is the exact LAPACK call that
+    # ``solve_triangular(L, diff.T, lower=True)`` makes: the Fortran-ordered
+    # L^T as an upper factor, transposed.
+    sol, info = dtrtrs(chol.T, diff.T, lower=0, trans=1, unitdiag=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of trtrs")
+    maha = np.sum(sol * sol, axis=0)
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def _responsibilities(
+    x: np.ndarray,
+    means: np.ndarray,
+    factors: list[tuple[np.floating, np.ndarray, np.floating]],
+) -> tuple[np.ndarray, float]:
+    """E step over float64 points *x* given :func:`_mixture_factors`."""
+    log_prob = np.empty((x.shape[0], len(factors)), dtype=np.float64)
+    for m, (log_weight, chol, logdet) in enumerate(factors):
+        log_prob[:, m] = log_weight + _log_pdf(x, means[m], chol, logdet)
+    # log-sum-exp across components
+    top = np.max(log_prob, axis=1, keepdims=True)
+    with np.errstate(under="ignore"):
+        norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
+    gamma = np.exp(log_prob - norm[:, None])
+    return gamma, float(np.sum(norm))
+
+
 def log_gaussian_pdf(
     points: np.ndarray, mean: np.ndarray, cov: np.ndarray
 ) -> np.ndarray:
@@ -38,17 +98,8 @@ def log_gaussian_pdf(
 
     Uses a Cholesky solve rather than an explicit inverse for stability.
     """
-    from scipy.linalg import solve_triangular
-
     x = np.asarray(points, dtype=np.float64)
-    d = x.shape[1]
-    chol = np.linalg.cholesky(cov)
-    diff = x - mean
-    # Solve L z = diff^T => z = L^{-1} diff^T; Mahalanobis = ||z||^2.
-    sol = solve_triangular(chol, diff.T, lower=True)
-    maha = np.sum(sol * sol, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+    return _log_pdf(x, mean, *_component_factor(cov))
 
 
 def gmm_responsibilities(
@@ -58,19 +109,8 @@ def gmm_responsibilities(
     covariances: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """E step: responsibilities ``(n, M)`` and the block log-likelihood."""
-    n = points.shape[0]
-    n_comp = means.shape[0]
-    log_prob = np.empty((n, n_comp), dtype=np.float64)
-    for m in range(n_comp):
-        log_prob[:, m] = np.log(max(weights[m], 1e-300)) + log_gaussian_pdf(
-            points, means[m], covariances[m]
-        )
-    # log-sum-exp across components
-    top = np.max(log_prob, axis=1, keepdims=True)
-    with np.errstate(under="ignore"):
-        norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
-    gamma = np.exp(log_prob - norm[:, None])
-    return gamma, float(np.sum(norm))
+    x = np.asarray(points, dtype=np.float64)
+    return _responsibilities(x, means, _mixture_factors(weights, covariances))
 
 
 class GMMApp(IterativeMapReduceApp):
@@ -114,6 +154,9 @@ class GMMApp(IterativeMapReduceApp):
         global_cov = np.cov(x64, rowvar=False) + _COV_REG * np.eye(d)
         self.covariances = np.tile(global_cov, (n_components, 1, 1))
         self._converged = False
+        #: :func:`_mixture_factors` of the current parameters, built by the
+        #: first E step of an iteration and dropped by :meth:`update`
+        self._factors: list | None = None
         #: total log-likelihood after each iteration
         self.loglik_history: list[float] = []
         self._intensity = gmm_intensity(n_components, d)
@@ -140,9 +183,9 @@ class GMMApp(IterativeMapReduceApp):
     # ------------------------------------------------------------------
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
         x = self.points[block.start : block.stop].astype(np.float64)
-        gamma, loglik = gmm_responsibilities(
-            x, self.weights, self.means, self.covariances
-        )
+        if self._factors is None:
+            self._factors = _mixture_factors(self.weights, self.covariances)
+        gamma, loglik = _responsibilities(x, self.means, self._factors)
         pairs: list[tuple[Any, Any]] = []
         for m in range(self.n_components):
             g = gamma[:, m]
@@ -173,6 +216,7 @@ class GMMApp(IterativeMapReduceApp):
         }
 
     def update(self, reduced: dict[Any, Any]) -> None:
+        self._factors = None
         n_total = self.points.shape[0]
         d = self.points.shape[1]
         eye = np.eye(d)

@@ -205,6 +205,15 @@ class IterativeMapReduceApp(MapReduceApp):
     Loop-invariant input (the event matrix) stays cached in GPU memory —
     only :meth:`iteration_state` crosses the wire each round, and the GPU
     roofline uses the resident arm (``iterative = True``).
+
+    State *derived* from the broadcast parameters that every map block
+    would otherwise recompute (GMM's per-component Cholesky factors)
+    belongs in an app-side cache that the first map of an iteration
+    builds and :meth:`update` drops — never in :meth:`iteration_state`,
+    because :meth:`state_bytes` prices the broadcast from it and growing
+    it would change the simulated communication time.  The default
+    :meth:`checkpoint`/:meth:`restore` carry such a cache with the rest
+    of ``__dict__``.
     """
 
     iterative = True

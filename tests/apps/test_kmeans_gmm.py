@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.apps.gmm import GMMApp, gmm_responsibilities, log_gaussian_pdf
 from repro.apps.kmeans import KMeansApp, nearest_centers
 from repro.data.synth import gaussian_mixture
+from repro.hardware import delta_cluster
 from repro.runtime.api import Block
+from repro.runtime.job import JobConfig
+from repro.runtime.prs import PRSRuntime
 from repro.runtime.shuffle import group_by_key
 
 
@@ -179,3 +184,137 @@ class TestGMM:
         pts, _, _ = gaussian_mixture(100, 60, 2, seed=0)
         app = GMMApp(pts, 10, seed=0)
         assert app.intensity().at(1e6) == 11.0 * 10 * 60
+
+
+def per_block_factor_map(app, block):
+    """``GMMApp.cpu_map`` as it was when every block factorized every
+    component itself: ``np.linalg.cholesky`` plus ``solve_triangular``."""
+    from scipy.linalg import solve_triangular
+
+    x = app.points[block.start : block.stop].astype(np.float64)
+    d = x.shape[1]
+    log_prob = np.empty((x.shape[0], app.n_components), dtype=np.float64)
+    for m in range(app.n_components):
+        chol = np.linalg.cholesky(app.covariances[m])
+        diff = x - app.means[m]
+        sol = solve_triangular(chol, diff.T, lower=True)
+        maha = np.sum(sol * sol, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        log_prob[:, m] = np.log(max(app.weights[m], 1e-300)) + (
+            -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+        )
+    top = np.max(log_prob, axis=1, keepdims=True)
+    with np.errstate(under="ignore"):
+        norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
+    gamma = np.exp(log_prob - norm[:, None])
+    pairs = []
+    for m in range(app.n_components):
+        g = gamma[:, m]
+        pairs.append((m, (float(np.sum(g)), g @ x, (x * g[:, None]).T @ x)))
+    pairs.append(("loglik", float(np.sum(norm))))
+    return pairs
+
+
+def assert_pairs_bitwise(got, want):
+    def bits(pairs):
+        return [
+            (key, [(np.shape(p), np.asarray(p).tobytes())
+                   for p in (v if isinstance(v, tuple) else (v,))])
+            for key, v in pairs
+        ]
+
+    assert bits(got) == bits(want)
+
+
+class TestFactorCache:
+    """The E step factorizes each covariance once per iteration and stays
+    bit-for-bit equal to factorizing in every block."""
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(30, 120),
+        d=st.integers(1, 5),
+        n_comp=st.integers(1, 4),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_block_factorization(self, n, d, n_comp, cuts, seed):
+        pts, _, _ = gaussian_mixture(n, d, n_comp, seed=seed)
+        app = GMMApp(pts, n_comp, seed=seed)
+        edges = sorted({0, n, *(int(c * n) for c in cuts)})
+        blocks = [Block(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        blocks.insert(1, Block(edges[1], edges[1]))  # an empty block
+        snapshot = None
+        for rnd in range(3):
+            pairs = []
+            for i, block in enumerate(blocks):
+                got = app.cpu_map(block)
+                assert_pairs_bitwise(got, per_block_factor_map(app, block))
+                pairs.extend(got)
+                if rnd == 1 and i == 0:
+                    snapshot = app.checkpoint()
+            app.update({k: app.cpu_reduce(k, vs)
+                        for k, vs in group_by_key(pairs).items()})
+        # Back to mid-round 1: the restored cache matches the restored state.
+        app.restore(snapshot)
+        for block in blocks[1:]:
+            assert_pairs_bitwise(app.cpu_map(block),
+                                 per_block_factor_map(app, block))
+
+    def test_nan_point_raises_value_error(self):
+        pts, _, _ = gaussian_mixture(40, 3, 2, seed=1)
+        app = GMMApp(pts, 2, seed=1)
+        app.cpu_map(Block(0, 20))  # factors built from clean data
+        app.points[25, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            app.cpu_map(Block(20, 40))
+
+    def test_non_positive_definite_covariance_raises(self):
+        pts, _, _ = gaussian_mixture(40, 3, 2, seed=2)
+        app = GMMApp(pts, 2, seed=2)
+        app.covariances[1] = -np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            app.cpu_map(Block(0, 40))
+
+    def test_non_finite_covariance_raises_value_error(self):
+        pts, _, _ = gaussian_mixture(40, 3, 2, seed=3)
+        app = GMMApp(pts, 2, seed=3)
+        app.covariances[0] = np.diag([1.0, np.inf, 1.0])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            app.cpu_map(Block(0, 40))
+
+
+class TestFactorWorkGate:
+    """A PRS GMM job runs one Cholesky per component per iteration, and
+    counting them perturbs nothing."""
+
+    COMPONENTS = 3
+    ITERATIONS = 4
+
+    def _run(self):
+        pts, _, _ = gaussian_mixture(3000, 8, self.COMPONENTS, seed=11)
+        app = GMMApp(pts, self.COMPONENTS, tolerance=1e-300,
+                     max_iterations=self.ITERATIONS, seed=11)
+        result = PRSRuntime(delta_cluster(4),
+                            JobConfig(scheduling="static")).run(app)
+        assert result.iterations == self.ITERATIONS
+        return result
+
+    def test_one_factorization_per_component_per_iteration(self, monkeypatch):
+        plain = self._run()
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(1)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        counted = self._run()
+        blocks = counted.trace.metrics.get(obs.DEVICE_TASKS).total()
+        assert blocks > self.ITERATIONS  # many blocks per iteration
+        assert len(calls) == self.COMPONENTS * self.ITERATIONS
+        assert counted.engine_events == plain.engine_events
+        assert counted.makespan == plain.makespan
+        assert (counted.trace.metrics.get(obs.COMM_BYTES).total()
+                == plain.trace.metrics.get(obs.COMM_BYTES).total())

@@ -275,6 +275,11 @@ class TestRunSamplingFlags:
                 == unsampled["sampling"]["engine_events"])
 
     def test_faulted_json_reports_alert(self, capsys):
+        """The dashboard-smoke alert gate: a 4-rank GMM under a 3x
+        network-degradation window must fire link-over-utilization as
+        critical.  The fixed fault seed always yields the same alert
+        list, so an empty or relabelled set is a regression in the
+        sampler, the derived probes or the rule engine."""
         assert main([
             "run", "--app", "gmm", "--size", "1500", "--nodes", "4",
             "--iterations", "4",
@@ -282,5 +287,9 @@ class TestRunSamplingFlags:
             "--fault-seed", "7", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        rules = {a["rule"] for a in payload["alerts"]}
-        assert "link-over-utilization" in rules
+        alerts = payload["alerts"]
+        rules = sorted({a["rule"] for a in alerts})
+        assert "link-over-utilization" in rules, rules
+        link = [a for a in alerts if a["rule"] == "link-over-utilization"]
+        assert all(a["severity"] == "critical" for a in link), link
+        assert payload["sampling"]["samples"] > 0
