@@ -176,11 +176,11 @@ def cross_device_cut_bytes(trace, bytes_per_item):
         lambda: defaultdict(list)
     )
     for rec in sorted(trace.records, key=lambda r: r.start):
-        match = _MAP_LABEL.match(rec.label or "")
-        if match and rec.kind == "compute":
-            node = rec.device.split(".")[0]
+        match = _MAP_LABEL.match(rec.name or "")
+        if match and rec.category == "compute":
+            node = rec.track.split(".")[0]
             span = (int(match[1]), int(match[2]))
-            per_node[node][span].append(rec.device)
+            per_node[node][span].append(rec.track)
     total = 0.0
     for blocks in per_node.values():
         n_iters = max(len(devices) for devices in blocks.values())

@@ -243,9 +243,6 @@ class World:
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return RankComm(self, rank)
 
-    def comms(self) -> list["RankComm"]:
-        return [self.comm(r) for r in range(self.size)]
-
     # ------------------------------------------------------------------
     def _mailbox(self, dest: int, src: int, tag: int) -> Store:
         key = (dest, src, tag)
@@ -528,9 +525,9 @@ class RankComm:
 
         The span covers the receiver's actual wait (call entry to message
         arrival) and carries the sender's ``msg_id`` so analysis can pair
-        it 1:1 with the matching send span.  It is bookkeeping only —
-        tracer-level, never a :class:`~repro.simulate.trace.TaskRecord` —
-        so busy-time counters, utilization, and schedules are untouched.
+        it 1:1 with the matching send span.  It is bookkeeping only — a
+        ``recv``-category span, never device activity — so busy-time
+        counters, utilization, and schedules are untouched.
         """
         if not isinstance(raw, _Envelope):
             return raw

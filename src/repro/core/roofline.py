@@ -65,11 +65,6 @@ class RooflineModel:
         """Attainable rate ``F = min(P, A * B_eff)`` in GFLOP/s."""
         return self.device.attainable_gflops(intensity, self.staged)
 
-    def is_bandwidth_bound(self, intensity: float) -> bool:
-        """True when the task sits left of the ridge point."""
-        require_positive("intensity", intensity)
-        return intensity < self.ridge
-
     def time(self, flops: float, nbytes: float) -> float:
         """Seconds to process a block of *nbytes* executing *flops*.
 

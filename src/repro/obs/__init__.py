@@ -173,8 +173,10 @@ def phase_makespan_gap(trace, makespan: float) -> float:
     quantity the acceptance check bounds by 1e-6.
     """
     sums: dict[int, float] = {}
-    for span in trace.phase_spans:
-        sums[span.rank] = sums.get(span.rank, 0.0) + span.duration
+    for span in trace.tracer.find(category="phase"):
+        if span.end is not None:
+            rank = span.attrs["rank"]
+            sums[rank] = sums.get(rank, 0.0) + span.duration
     if not sums:
         return abs(makespan)
     return abs(makespan - max(sums.values()))

@@ -72,13 +72,6 @@ class Message:
         """Wall seconds the message spent in delivery (send span length)."""
         return self.visible_at - self.sent_at
 
-    @property
-    def recv_wait_s(self) -> float:
-        """Receiver blocked seconds (0 when the message was already in)."""
-        if self.recv_start is None or self.recv_end is None:
-            return 0.0
-        return self.recv_end - self.recv_start
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "msg_id": self.msg_id,
@@ -146,10 +139,6 @@ class CommGraph:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-    @property
-    def by_msg_id(self) -> dict[int, Message]:
-        return {m.msg_id: m for m in self.messages}
 
     @property
     def by_recv_span(self) -> dict[int, Message]:

@@ -53,6 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (commgraph is leaf)
 #: categories of the per-rank envelope spans (never leaves in a healthy run)
 ENVELOPE_CATEGORIES = frozenset({"job", "iteration", "phase"})
 
+#: categories of the spans that are not device activity: the envelopes,
+#: receive waits, recovery brackets, membership transitions and alerts.
+#: Every other span is one timed activity on one device track (kernel,
+#: copy, message, CPU block) — what busy time and utilization count.
+NON_ACTIVITY_CATEGORIES = ENVELOPE_CATEGORIES | {
+    "recv", "recovery", "membership", "alert",
+}
+
 #: message-edge recursion cap — past this many nested cross-rank hops the
 #: remaining wait is charged as ``wait_on="sender"`` without recursing
 #: (keeps the walk inside Python's stack on pathological chains; the

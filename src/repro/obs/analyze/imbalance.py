@@ -36,21 +36,19 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import Span, SpanTracer
 
-from repro.obs.analyze.critical_path import ENVELOPE_CATEGORIES
+from repro.obs.analyze.critical_path import NON_ACTIVITY_CATEGORIES
 
 
 def _is_block_span(span: Span) -> bool:
-    """Device-block / leaf activity spans: everything that is not a
-    per-rank envelope, recovery bracket, or receive wait (a blocked
-    ``recv`` is idleness by definition — counting it as busy time would
-    inflate utilization and hide the very imbalance this module scores).
+    """Device-block / leaf activity spans: everything that is not an
+    envelope, recovery bracket, membership transition, alert or receive
+    wait (a blocked ``recv`` is idleness by definition — counting it as
+    busy time would inflate utilization and hide the very imbalance
+    this module scores).
     """
     return (
         span.end is not None
-        and span.category not in ENVELOPE_CATEGORIES
-        and span.category != "recovery"
-        and span.category != "recv"
-        and span.category != "alert"
+        and span.category not in NON_ACTIVITY_CATEGORIES
         and not span.track.startswith("rank")
     )
 

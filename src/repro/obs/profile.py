@@ -133,8 +133,7 @@ class LoadedProfile:
 
 def _tracer_from_span_dicts(payloads: list[dict[str, Any]]) -> SpanTracer:
     """Rebuild a tracer from :meth:`Span.to_dict` payloads, keeping the
-    original span/parent ids (same fix-up :meth:`SpanTracer.from_chrome`
-    applies)."""
+    original span/parent ids."""
     tracer = SpanTracer()
     for p in payloads:
         span = tracer.record(
@@ -146,12 +145,7 @@ def _tracer_from_span_dicts(payloads: list[dict[str, Any]]) -> SpanTracer:
             parent_id=p.get("parent_id"),
             attrs=dict(p.get("attrs", {})),
         )
-        span_id = p.get("span_id")
-        if span_id is not None:
-            del tracer._by_id[span.span_id]
-            span.span_id = span_id
-            tracer._by_id[span_id] = span
-            tracer._next_id = max(tracer._next_id, span_id + 1)
+        tracer._adopt_id(span, p.get("span_id"))
     return tracer
 
 

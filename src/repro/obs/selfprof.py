@@ -148,7 +148,7 @@ class SelfProfiler:
         #: Hot-path ABI: two parallel frame stacks (node, entry time)
         #: instead of one stack of tuples — no allocation per scope.
         #: The highest-frequency call sites (``Engine.step``,
-        #: ``Trace.add``) push/pop these directly rather than paying a
+        #: ``Trace.record``) push/pop these directly rather than paying a
         #: method call per scope; everything else uses begin()/end().
         #: ``_nodes`` always carries the root; ``_t0s`` gains the root
         #: frame's entry time at :meth:`start`.

@@ -351,12 +351,18 @@ class SpanTracer:
                 parent_id=parent_id,
                 attrs=args,
             )
-            if span_id is not None:  # keep original ids stable
-                del tracer._by_id[span.span_id]
-                span.span_id = span_id
-                tracer._by_id[span_id] = span
-                tracer._next_id = max(tracer._next_id, span_id + 1)
+            tracer._adopt_id(span, span_id)
         return tracer
+
+    def _adopt_id(self, span: Span, span_id: int | None) -> None:
+        """Re-key a just-rebuilt *span* under its exported *span_id* (no-op
+        for ``None``), so parent ids read from the same export resolve."""
+        if span_id is None:
+            return
+        del self._by_id[span.span_id]
+        span.span_id = span_id
+        self._by_id[span_id] = span
+        self._next_id = max(self._next_id, span_id + 1)
 
     def to_jsonl(self) -> str:
         """One JSON object per span, in recording order."""

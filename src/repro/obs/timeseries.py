@@ -13,7 +13,7 @@ Zero-perturbation contract
 --------------------------
 The sampler never talks to the simulation engine: it schedules no
 events, holds no processes, and advances no clocks.  Instead it is
-*tick-driven*: every trace mutation (``Trace.add``, ``record_recv``,
+*tick-driven*: every trace mutation (``Trace.record``, ``record_recv``,
 ``begin_phase`` ...) first calls :meth:`MetricSampler.advance` with the
 current simulated time, and the sampler back-fills any grid instants
 that have elapsed since the previous tick with the *pre-mutation*
@@ -120,10 +120,6 @@ class Series:
 
     def points(self) -> list[tuple[float, float]]:
         return list(self._points)
-
-    @property
-    def first_t(self) -> float | None:
-        return self._points[0][0] if self._points else None
 
     @property
     def last_t(self) -> float | None:
@@ -317,10 +313,6 @@ class MetricSampler:
                 f"alpha={latency_s}, beta={bytes_per_s}"
             )
         self._link_models[link] = (float(latency_s), float(bytes_per_s))
-
-    @property
-    def link_models(self) -> dict[str, tuple[float, float]]:
-        return dict(self._link_models)
 
     @property
     def total_samples(self) -> int:

@@ -333,6 +333,8 @@ class JobResult:
         if total <= 0:
             return 0.0
         part = sum(
-            r.flops for r in self.trace.records if device_substr in r.device
+            s.attrs["flops"]
+            for s in self.trace.records
+            if device_substr in s.track
         )
         return part / total

@@ -351,9 +351,6 @@ class ElasticState:
         self.applied.extend(applied)
         return applied
 
-    def note_death(self, node: int, now: float) -> EpochRecord | None:
-        return self.view.leave(node, now)
-
     def check_epoch_budget(self) -> None:
         if self.view.epoch > MAX_EPOCHS:
             raise RuntimeError(

@@ -171,11 +171,6 @@ class RegionAllocator:
         """The daemon thread whose region last held block *key*."""
         return self._block_regions.get(key)
 
-    @property
-    def block_regions(self) -> dict[tuple[int, int], str]:
-        """Read-only view of the block -> home-region map."""
-        return dict(self._block_regions)
-
     def publish_metrics(self, metrics, **labels) -> None:
         """Flush counter deltas since the last publish into *metrics*.
 

@@ -22,7 +22,7 @@ from repro.simulate.engine import (
 )
 from repro.simulate.resources import CorePool, Link, Resource, Store
 from repro.simulate.streams import StreamBlock, simulate_stream_batch
-from repro.simulate.trace import PhaseSpan, TaskRecord, Trace
+from repro.simulate.trace import Trace
 
 __all__ = [
     "Engine",
@@ -39,6 +39,4 @@ __all__ = [
     "StreamBlock",
     "simulate_stream_batch",
     "Trace",
-    "TaskRecord",
-    "PhaseSpan",
 ]

@@ -487,7 +487,3 @@ class Engine:
         if until is not None and horizon > self.now:
             self.now = horizon
         return None
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -1,31 +1,34 @@
-"""Execution traces of simulated runs, backed by the observability layer.
+"""Execution traces of simulated runs, stored as spans.
 
-Every simulated activity (kernel, memory copy, network message, CPU block)
-appends a :class:`TaskRecord`; :class:`Trace` aggregates them into the
-utilization and timeline views the benchmarks report.
+A :class:`Trace` owns the run's :class:`~repro.obs.SpanTracer`, its
+:class:`~repro.obs.MetricsRegistry` and its decision audit log.  The
+span tracer is the one store of simulated activity:
 
-Since the observability layer landed, a trace is also the front door to
-it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
-:class:`~repro.obs.SpanTracer`, and every record/phase call feeds both —
+* :meth:`Trace.record` appends one *activity* span per timed device
+  activity (kernel, memory copy, network message, CPU block), parented
+  under the rank's currently open phase when the device has been bound
+  to a rank, and increments the per-device counters (busy seconds, both
+  raw occupancy and overlap-merged union, flops, bytes, task counts)
+  that online consumers such as the adaptive-feedback policy and the
+  time-series sampler read;
+* :meth:`Trace.begin_phase` / :meth:`Trace.end_phase` bracket runtime
+  phases live, maintaining the job -> iteration -> phase span hierarchy
+  per rank (:meth:`Trace.record_phase` is the retrospective
+  equivalent); receive waits, recovery brackets, membership transitions
+  and alerts get spans of their own categories.
 
-* :meth:`record` increments the per-device counters (busy seconds —
-  both raw occupancy and overlap-merged union — flops, bytes, task
-  counts) and emits a device-block span, parented under the rank's
-  currently open phase when the device has been bound to a rank;
-* :meth:`begin_phase` / :meth:`end_phase` bracket runtime phases live,
-  maintaining the job -> iteration -> phase span hierarchy per rank
-  (:meth:`record_phase` is the retrospective equivalent).
-
-``phase_breakdown`` / ``phase_spans`` / ``phases`` are thin compatibility
-views derived from the span tracer, so existing callers are unchanged.
+Every report view is derived from the spans: ``records``, ``filter``,
+``makespan``, ``devices``, ``busy_time``, ``total_flops``, ``summary``
+and ``gantt`` read the activity spans (every span whose category is not
+in :data:`~repro.obs.analyze.critical_path.NON_ACTIVITY_CATEGORIES`) in
+recording order, and ``phase_breakdown`` reads the ``phase`` spans.
 The windowed queries (``since=``) remain for ad-hoc analysis; online
-consumers like the adaptive-feedback policy read the monotonic counters
-instead (snapshot-and-diff, no trace re-scans).
+consumers read the monotonic counters instead (snapshot-and-diff, no
+trace re-scans).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 from repro.obs import (
@@ -42,6 +45,7 @@ from repro.obs import (
     SpanTracer,
 )
 from repro.obs.analyze.audit import DecisionLog
+from repro.obs.analyze.critical_path import NON_ACTIVITY_CATEGORIES
 from repro.obs.selfprof import HostNode
 
 #: span track membership-transition spans land on (their own lane in
@@ -72,68 +76,14 @@ def gantt_legend() -> str:
     return f"legend: {known} (other kinds: first letter, else *)"
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """One timed activity in a simulation.
-
-    ``kind`` is a short category tag: ``"compute"``, ``"h2d"``, ``"d2h"``,
-    ``"net"``, ``"shuffle"``, ``"reduce"``, ``"overhead"`` ...
-    """
-
-    label: str
-    device: str
-    kind: str
-    start: float
-    end: float
-    nbytes: float = 0.0
-    flops: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"task {self.label!r}: end {self.end} precedes start {self.start}"
-            )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class PhaseSpan:
-    """One runtime phase executed on one rank during one iteration.
-
-    ``iteration`` is ``-1`` for the pre-loop setup phase (daemon spawn,
-    partition-descriptor scatter).  Compatibility view: the authoritative
-    store is the span tracer's ``phase``-category spans.
-    """
-
-    phase: str
-    rank: int
-    iteration: int
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"phase {self.phase!r}: end {self.end} precedes start {self.start}"
-            )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 class Trace:
-    """An append-only log of :class:`TaskRecord` with summary queries."""
+    """A run's span store, metrics and audit log, with summary views."""
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
         tracer: SpanTracer | None = None,
     ) -> None:
-        self._records: list[TaskRecord] = []
         #: the run's metrics registry (shared with policies and the CLI)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: the run's hierarchical span store
@@ -218,60 +168,6 @@ class Trace:
                     prof.end()
 
     # ------------------------------------------------------------------
-    def add(self, record: TaskRecord, attrs: dict | None = None) -> None:
-        prof = self.selfprof
-        if prof is None:
-            self._add_impl(record, attrs)
-            return
-        # Second-hottest instrumented site (once per task record):
-        # push/pop the profiler's frame stacks directly — see
-        # Engine.step for the rationale.
-        nodes = prof._nodes
-        children = nodes[-1].children
-        node = children.get("obs:trace.record")
-        if node is None:
-            node = children["obs:trace.record"] = HostNode("obs:trace.record")
-        nodes.append(node)
-        prof._t0s.append(perf_counter())
-        try:
-            self._add_impl(record, attrs)
-        finally:
-            now = perf_counter()
-            node.calls += 1
-            node.inclusive_s += now - prof._t0s.pop()
-            nodes.pop()
-
-    def _add_impl(self, record: TaskRecord, attrs: dict | None) -> None:
-        self.tick(record.end)
-        self._records.append(record)
-        m = self.metrics
-        device, kind = record.device, record.kind
-        duration = record.duration
-        m.counter(DEVICE_BUSY_SECONDS).inc(duration, device=device, kind=kind)
-        m.counter(DEVICE_TASKS).inc(1, device=device, kind=kind)
-        if record.flops:
-            m.counter(DEVICE_FLOPS).inc(record.flops, device=device)
-        if record.nbytes:
-            m.counter(DEVICE_BYTES).inc(record.nbytes, device=device, kind=kind)
-        union = self._busy_union.get(device)
-        if union is None:
-            union = self._busy_union[device] = IntervalUnion()
-        added = union.add(record.start, record.end)
-        if added:
-            m.counter(DEVICE_BUSY_UNION_SECONDS).inc(added, device=device)
-        span_attrs = {"nbytes": record.nbytes, "flops": record.flops}
-        if attrs:
-            span_attrs.update(attrs)
-        self.tracer.record(
-            record.label,
-            device,
-            record.start,
-            record.end,
-            category=kind,
-            parent_id=self._block_parent(device, record.start),
-            attrs=span_attrs,
-        )
-
     def record(
         self,
         label: str,
@@ -283,8 +179,70 @@ class Trace:
         flops: float = 0.0,
         attrs: dict | None = None,
     ) -> None:
-        self.add(TaskRecord(label, device, kind, start, end, nbytes, flops),
-                 attrs=attrs)
+        """Append one activity span of category *kind* on *device*'s track."""
+        if end < start:
+            raise ValueError(f"task {label!r}: end {end} precedes start {start}")
+        if kind in NON_ACTIVITY_CATEGORIES:
+            raise ValueError(f"task {label!r}: {kind!r} is not an activity kind")
+        prof = self.selfprof
+        if prof is None:
+            self._record(label, device, kind, start, end, nbytes, flops, attrs)
+            return
+        # Second-hottest instrumented site (once per activity):
+        # push/pop the profiler's frame stacks directly — see
+        # Engine.step for the rationale.
+        nodes = prof._nodes
+        children = nodes[-1].children
+        node = children.get("obs:trace.record")
+        if node is None:
+            node = children["obs:trace.record"] = HostNode("obs:trace.record")
+        nodes.append(node)
+        prof._t0s.append(perf_counter())
+        try:
+            self._record(label, device, kind, start, end, nbytes, flops, attrs)
+        finally:
+            now = perf_counter()
+            node.calls += 1
+            node.inclusive_s += now - prof._t0s.pop()
+            nodes.pop()
+
+    def _record(
+        self,
+        label: str,
+        device: str,
+        kind: str,
+        start: float,
+        end: float,
+        nbytes: float,
+        flops: float,
+        attrs: dict | None,
+    ) -> None:
+        self.tick(end)
+        m = self.metrics
+        m.counter(DEVICE_BUSY_SECONDS).inc(end - start, device=device, kind=kind)
+        m.counter(DEVICE_TASKS).inc(1, device=device, kind=kind)
+        if flops:
+            m.counter(DEVICE_FLOPS).inc(flops, device=device)
+        if nbytes:
+            m.counter(DEVICE_BYTES).inc(nbytes, device=device, kind=kind)
+        union = self._busy_union.get(device)
+        if union is None:
+            union = self._busy_union[device] = IntervalUnion()
+        added = union.add(start, end)
+        if added:
+            m.counter(DEVICE_BUSY_UNION_SECONDS).inc(added, device=device)
+        span_attrs = {"nbytes": nbytes, "flops": flops}
+        if attrs:
+            span_attrs.update(attrs)
+        self.tracer.record(
+            label,
+            device,
+            start,
+            end,
+            category=kind,
+            parent_id=self._block_parent(device, start),
+            attrs=span_attrs,
+        )
 
     def record_recv(
         self,
@@ -298,8 +256,8 @@ class Trace:
 
         Receive waits go to the span tracer only — they are time spent
         *blocked*, not device occupancy, so they must not feed the busy
-        counters or :class:`TaskRecord` views the utilization and
-        imbalance reports are built on.
+        counters or the activity views the utilization and imbalance
+        reports are built on.
         """
         self.tick(end)
         self.tracer.record(
@@ -329,31 +287,31 @@ class Trace:
 
     # ------------------------------------------------------------------
     @property
-    def records(self) -> tuple[TaskRecord, ...]:
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
+    def records(self) -> tuple[Span, ...]:
+        """The activity spans, in recording order."""
+        return tuple(self.filter())
 
     def filter(
         self,
         device: str | None = None,
         kind: str | None = None,
         since: float = 0.0,
-    ) -> list[TaskRecord]:
-        out = self._records
-        if device is not None:
-            out = [r for r in out if r.device == device]
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if since > 0.0:
-            out = [r for r in out if r.start >= since]
-        return list(out)
+    ) -> list[Span]:
+        """Activity spans on track *device* of category *kind* starting
+        at or after *since*, in recording order."""
+        return [
+            s
+            for s in self.tracer.spans
+            if s.category not in NON_ACTIVITY_CATEGORIES
+            and (device is None or s.track == device)
+            and (kind is None or s.category == kind)
+            and (since <= 0.0 or s.start >= since)
+        ]
 
     @property
     def makespan(self) -> float:
-        """Latest end time across all records (0 for an empty trace)."""
-        return max((r.end for r in self._records), default=0.0)
+        """Latest end time across all activity (0 for an empty trace)."""
+        return max((s.end for s in self.filter()), default=0.0)
 
     def busy_time(
         self, device: str, kind: str | None = None, since: float = 0.0
@@ -396,21 +354,13 @@ class Trace:
         return self.busy_time(device, kind) / span
 
     def devices(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self._records:
-            seen.setdefault(r.device, None)
-        return list(seen)
+        return list(dict.fromkeys(s.track for s in self.filter()))
 
     def total_flops(self, device: str | None = None, since: float = 0.0) -> float:
-        recs = (
-            self._records
-            if device is None and since <= 0.0
-            else self.filter(device=device, since=since)
-        )
-        return sum(r.flops for r in recs)
+        return sum(s.attrs["flops"] for s in self.filter(device, since=since))
 
     def total_bytes(self, device: str | None = None, kind: str | None = None) -> float:
-        return sum(r.nbytes for r in self.filter(device=device, kind=kind))
+        return sum(s.attrs["nbytes"] for s in self.filter(device, kind))
 
     def observed_gflops(self, device: str, since: float = 0.0) -> float:
         """Achieved device-level rate: executed flops over busy wall time.
@@ -577,30 +527,6 @@ class Trace:
         self._iter_span.clear()
         self._job_span.clear()
 
-    @property
-    def phase_spans(self) -> tuple[PhaseSpan, ...]:
-        return tuple(
-            PhaseSpan(
-                phase=s.name,
-                rank=s.attrs["rank"],
-                iteration=s.attrs["iteration"],
-                start=s.start,
-                end=s.end,
-            )
-            for s in self.tracer.find(category="phase")
-            if s.end is not None
-        )
-
-    def phases(
-        self, rank: int | None = None, iteration: int | None = None
-    ) -> list[PhaseSpan]:
-        out = list(self.phase_spans)
-        if rank is not None:
-            out = [s for s in out if s.rank == rank]
-        if iteration is not None:
-            out = [s for s in out if s.iteration == iteration]
-        return out
-
     def phase_breakdown(self, rank: int = 0) -> dict[int, dict[str, float]]:
         """Per-iteration ``{phase: seconds}`` for one rank.
 
@@ -611,11 +537,11 @@ class Trace:
         convergence-broadcast latency on the other ranks).
         """
         out: dict[int, dict[str, float]] = {}
-        for span in self.phase_spans:
-            if span.rank != rank:
+        for span in self.tracer.find(category="phase"):
+            if span.end is None or span.attrs["rank"] != rank:
                 continue
-            per_iter = out.setdefault(span.iteration, {})
-            per_iter[span.phase] = per_iter.get(span.phase, 0.0) + span.duration
+            per_iter = out.setdefault(span.attrs["iteration"], {})
+            per_iter[span.name] = per_iter.get(span.name, 0.0) + span.duration
         return out
 
     # ------------------------------------------------------------------
@@ -645,7 +571,7 @@ class Trace:
             for r in self.filter(device=device):
                 lo = int(r.start / span * (width - 1))
                 hi = max(lo + 1, int(r.end / span * (width - 1)) + 1)
-                ch = glyph_for(r.kind)
+                ch = glyph_for(r.category)
                 for i in range(lo, min(hi, width)):
                     row[i] = ch
             lines.append(f"{device:>16s} |{''.join(row)}|")
@@ -663,49 +589,3 @@ class Trace:
                 "utilization": self.utilization(device),
             }
         return out
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    _CSV_HEADER = "label,device,kind,start,end,nbytes,flops"
-
-    def to_csv(self) -> str:
-        """Render the trace as CSV (one record per line, header first).
-
-        Labels containing commas or quotes are quoted per RFC 4180.
-        """
-        def quote(text: str) -> str:
-            if "," in text or '"' in text or "\n" in text:
-                return '"' + text.replace('"', '""') + '"'
-            return text
-
-        lines = [self._CSV_HEADER]
-        for r in self._records:
-            lines.append(
-                f"{quote(r.label)},{quote(r.device)},{quote(r.kind)},"
-                f"{r.start!r},{r.end!r},{r.nbytes!r},{r.flops!r}"
-            )
-        return "\n".join(lines)
-
-    def to_records(self) -> list[dict]:
-        """Plain-dict view of every record (JSON-serializable)."""
-        return [
-            {
-                "label": r.label,
-                "device": r.device,
-                "kind": r.kind,
-                "start": r.start,
-                "end": r.end,
-                "nbytes": r.nbytes,
-                "flops": r.flops,
-            }
-            for r in self._records
-        ]
-
-    @classmethod
-    def from_records(cls, records: list[dict]) -> "Trace":
-        """Rebuild a trace from :meth:`to_records` output."""
-        trace = cls()
-        for rec in records:
-            trace.record(**rec)
-        return trace

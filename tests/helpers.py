@@ -103,3 +103,21 @@ class CountdownApp(IterativeMapReduceApp):
     @property
     def converged(self) -> bool:
         return self.remaining <= 0
+
+
+def rank_phases(trace, rank: int | None = None, iteration: int | None = None):
+    """The trace's ``phase`` spans, optionally of one rank / iteration."""
+    return [
+        s
+        for s in trace.tracer.find(category="phase")
+        if (rank is None or s.attrs["rank"] == rank)
+        and (iteration is None or s.attrs["iteration"] == iteration)
+    ]
+
+
+def phase_rows(trace) -> list[tuple]:
+    """``(phase, rank, iteration, start, end)`` of every phase span."""
+    return [
+        (s.name, s.attrs["rank"], s.attrs["iteration"], s.start, s.end)
+        for s in rank_phases(trace)
+    ]

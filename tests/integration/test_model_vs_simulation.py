@@ -182,7 +182,7 @@ class TestFlopConservation:
         config = JobConfig(scheduling=scheduling, overheads=QUIET)
         result = PRSRuntime(delta_cluster(2), config).run(app)
         map_flops = sum(
-            r.flops for r in result.trace.records if r.kind == "compute"
+            r.attrs["flops"] for r in result.trace.filter(kind="compute")
         )
         expected = ai * app.total_bytes()
         assert map_flops == pytest.approx(expected, rel=1e-6)

@@ -26,6 +26,8 @@ from repro.hardware import delta_cluster
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
 
+from tests.helpers import rank_phases
+
 GOLDEN = pathlib.Path(__file__).parent / "golden_cmeans_phases.json"
 
 
@@ -48,7 +50,7 @@ class TestAcceptance:
         # Phases run back-to-back per rank, so each rank's span sum is
         # its finish time; no rank outlives the makespan.
         for rank in range(2):
-            spans = result.trace.phases(rank=rank)
+            spans = rank_phases(result.trace, rank=rank)
             assert spans, f"rank {rank} recorded no phases"
             total = sum(s.duration for s in spans)
             finish = max(s.end for s in spans)
@@ -92,9 +94,10 @@ class TestMetricsAgreeWithTrace:
 class TestGoldenPhaseStructure:
     def test_rank0_phase_sequence_matches_golden(self, result):
         observed = [
-            {"iteration": s.iteration, "phase": s.phase}
+            {"iteration": s.attrs["iteration"], "phase": s.name}
             for s in sorted(
-                result.trace.phases(rank=0), key=lambda s: (s.start, s.iteration)
+                rank_phases(result.trace, rank=0),
+                key=lambda s: (s.start, s.attrs["iteration"]),
             )
         ]
         golden = json.loads(GOLDEN.read_text())

@@ -36,6 +36,8 @@ from repro.obs.timeseries import (
 )
 from repro.simulate.trace import Trace
 
+from tests.helpers import phase_rows
+
 
 def run_cmeans(n_nodes=2, sample_interval=1e-3, faults=None, fault_seed=0,
                **config_kwargs):
@@ -248,11 +250,7 @@ class TestZeroPerturbation:
         assert sampled.makespan == bare.makespan
         assert sampled.engine_events == bare.engine_events
         assert sampled.sampler_samples > 0 and bare.sampler_samples == 0
-        spans_a = [(s.phase, s.rank, s.start, s.end)
-                   for s in sampled.trace.phase_spans]
-        spans_b = [(s.phase, s.rank, s.start, s.end)
-                   for s in bare.trace.phase_spans]
-        assert spans_a == spans_b
+        assert phase_rows(sampled.trace) == phase_rows(bare.trace)
         assert sorted(map(str, sampled.output.items())) == sorted(
             map(str, bare.output.items()))
 

@@ -22,7 +22,7 @@ from repro.runtime.job import JobConfig
 from repro.runtime.phases import ITERATION_PHASES
 from repro.runtime.prs import PRSRuntime
 
-from tests.helpers import CountdownApp
+from tests.helpers import CountdownApp, phase_rows
 
 
 def graph_of(names, edges):
@@ -146,7 +146,7 @@ class TestLinearEquivalence:
             legacy_result.output
         )
         assert dag_result.makespan == legacy_result.makespan
-        assert dag_result.trace.phase_spans == legacy_result.trace.phase_spans
+        assert phase_rows(dag_result.trace) == phase_rows(legacy_result.trace)
 
     def test_dag_attrs_present_on_phase_spans(self, delta4):
         result = run_job(lambda: CountdownApp(n=2000), delta4)
@@ -185,7 +185,7 @@ class TestGraphPolicyFaultDeterminism:
         second = run_job(gmm_app, delta4, **kwargs)
         assert pickle.dumps(first.output) == pickle.dumps(second.output)
         assert first.makespan == second.makespan
-        assert first.trace.phase_spans == second.trace.phase_spans
+        assert phase_rows(first.trace) == phase_rows(second.trace)
 
     @pytest.mark.parametrize("policy", ["affinity", "graph-partition"])
     def test_decisions_are_audited(self, policy, delta4):

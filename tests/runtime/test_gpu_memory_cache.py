@@ -45,7 +45,7 @@ class TestCapacityBoundedCache:
         app = CountdownApp(n=1000)  # 4 KB total
         daemon, trace = run_block_twice(node, app, Block(0, 1000))
         assert daemon.is_cached(Block(0, 1000))
-        h2d = [r for r in trace.filter(kind="h2d") if r.nbytes > 0]
+        h2d = [r for r in trace.filter(kind="h2d") if r.attrs["nbytes"] > 0]
         assert len(h2d) == 1  # staged exactly once
 
     def test_oversized_input_never_cached(self):
@@ -53,7 +53,7 @@ class TestCapacityBoundedCache:
         app = CountdownApp(n=1000)  # 4 KB block > memory
         daemon, trace = run_block_twice(node, app, Block(0, 1000))
         assert not daemon.is_cached(Block(0, 1000))
-        h2d = [r for r in trace.filter(kind="h2d") if r.nbytes > 0]
+        h2d = [r for r in trace.filter(kind="h2d") if r.attrs["nbytes"] > 0]
         assert len(h2d) == 2  # re-staged every pass
 
     def test_cache_fills_then_stops(self):

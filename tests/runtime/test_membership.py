@@ -391,6 +391,18 @@ class TestElasticDriver:
         counter = result.trace.metrics.get("prs_membership_events_total")
         assert counter is not None and counter.value(action="join") == 1
 
+    def test_membership_track_is_not_a_device(self):
+        # Membership transitions get their own span track; the imbalance
+        # report counts device activity only, so that track must never
+        # show up as a device load.
+        result = _run(
+            _gmm(), faults=["join@2:t=0.03", "join@3:t=0.03"], initial_nodes=2
+        )
+        assert result.trace.tracer.find(category="membership")
+        devices = [d.device for d in result.analyze().imbalance.devices]
+        assert devices and "membership" not in devices
+        assert "membership" not in result.trace.devices()
+
     def test_recovery_summary_round_trips_membership(self):
         result = _run(
             _gmm(),

@@ -83,7 +83,7 @@ class TestIterativeDriver:
         # h2d traffic happens only once per node
         h2d = result.trace.filter(kind="h2d")
         later_h2d = [r for r in h2d if r.start >= log.stats[1].start]
-        assert not any(r.nbytes > 1e5 for r in later_h2d)
+        assert not any(r.attrs["nbytes"] > 1e5 for r in later_h2d)
 
 
 class TestSchedulingBehaviour:
@@ -125,12 +125,12 @@ class TestSchedulingBehaviour:
         # Both device classes must end up doing real MAP work (reduce
         # tasks alone must not satisfy this — they always run CPU-side).
         cpu_map_flops = sum(
-            r.flops for r in result.trace.records
-            if ".cpu" in r.device and r.kind == "compute"
+            r.attrs["flops"] for r in result.trace.filter(kind="compute")
+            if ".cpu" in r.track
         )
         gpu_map_flops = sum(
-            r.flops for r in result.trace.records
-            if ".gpu" in r.device and r.kind == "compute"
+            r.attrs["flops"] for r in result.trace.filter(kind="compute")
+            if ".gpu" in r.track
         )
         total = cpu_map_flops + gpu_map_flops
         assert cpu_map_flops > 0.02 * total

@@ -216,4 +216,4 @@ class TestSubTaskScheduler:
         sink = {}
         engine.run(engine.process(sched.run_reduce({"k": [1, 2]}, sink)))
         assert sink == {"k": 3}
-        assert any("gpu" in r.device for r in trace.records)
+        assert any("gpu" in r.track for r in trace.records)

@@ -117,7 +117,7 @@ class TestTraceRecording:
         trace = Trace()
         blocks = [StreamBlock(1e6, 1e8, out_bytes=1e5)] * 3
         simulate_stream_batch(delta.gpu, blocks, trace=trace)
-        kinds = {r.kind for r in trace.records}
+        kinds = {r.category for r in trace.records}
         assert kinds == {"h2d", "compute", "d2h"}
         assert len(trace.filter(kind="compute")) == 3
 

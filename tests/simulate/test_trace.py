@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulate.trace import TaskRecord, Trace
+from repro.obs.profile import loads_profile, profile_jsonl
+from repro.simulate.trace import Trace
 
 
 def make_trace(entries):
@@ -13,13 +14,39 @@ def make_trace(entries):
     return trace
 
 
-class TestTaskRecord:
+class TestRecord:
     def test_duration(self):
-        assert TaskRecord("t", "d", "compute", 1.0, 3.5).duration == 2.5
+        t = make_trace([("t", "d", "compute", 1.0, 3.5)])
+        assert t.records[0].duration == 2.5
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
-            TaskRecord("t", "d", "compute", 3.0, 1.0)
+            Trace().record("t", "d", "compute", 3.0, 1.0)
+
+    def test_rejects_non_activity_kind(self):
+        # recv waits, envelopes, recovery, membership and alerts have
+        # their own record paths and never count as device activity
+        for kind in ("recv", "phase", "recovery", "membership", "alert"):
+            with pytest.raises(ValueError, match="activity"):
+                Trace().record("t", "d", kind, 0.0, 1.0)
+
+    def test_records_are_the_activity_spans(self):
+        t = Trace()
+        t.bind_device("d", 0)
+        span = t.begin_phase("map", 0, 0, 0.0)
+        t.record("k", "d", "compute", 0.0, 1.0, nbytes=4, flops=8)
+        t.record_recv("wait", "d", 1.0, 2.0)
+        t.end_phase(span, 2.0)
+        t.record_recovery("retry", 0, 2.0, 3.0)
+        t.record_membership("join", 3.0, 3.0)
+        t.record("h", "d", "h2d", 2.0, 4.0, nbytes=16)
+        assert [(r.name, r.category) for r in t.records] == [
+            ("k", "compute"), ("h", "h2d"),
+        ]
+        assert t.records[0].parent_id == span.span_id
+        assert t.records[0].attrs == {"nbytes": 4, "flops": 8}
+        assert t.devices() == ["d"]
+        assert t.makespan == 4.0
 
 
 class TestBusyTime:
@@ -109,10 +136,9 @@ class TestQueries:
             ("b", "dev", "reduce", 0.2, 0.4),
             ("c", "dev", "overhead", 0.4, 0.6),
             ("d", "dev", "net", 0.6, 0.8),
-            ("e", "dev", "recv", 0.8, 1.0),
         ])
         row = t.gantt(width=50).splitlines()[0]
-        for ch in ("x", "+", ".", "~", "?"):
+        for ch in ("x", "+", ".", "~"):
             assert ch in row
 
     def test_gantt_unknown_kind_gets_own_glyph(self):
@@ -129,35 +155,12 @@ class TestQueries:
 
 
 class TestExport:
-    def test_csv_roundtrip_structure(self):
-        t = Trace()
-        t.record("a,b", "gpu", "compute", 0.0, 1.5, nbytes=10, flops=20)
-        csv = t.to_csv()
-        lines = csv.splitlines()
-        assert lines[0] == "label,device,kind,start,end,nbytes,flops"
-        assert lines[1].startswith('"a,b",gpu,compute,')
-
-    def test_csv_quotes_embedded_quotes(self):
-        t = Trace()
-        t.record('say "hi"', "d", "net", 0, 1)
-        assert '"say ""hi"""' in t.to_csv()
-
     def test_records_json_roundtrip(self):
-        import json
-
         t = Trace()
         t.record("x", "cpu", "compute", 0.0, 2.0, nbytes=5, flops=7)
         t.record("y", "gpu", "h2d", 1.0, 3.0, nbytes=9)
-        payload = json.dumps(t.to_records())
-        rebuilt = Trace.from_records(json.loads(payload))
+        rebuilt = Trace(tracer=loads_profile(profile_jsonl(t)).tracer)
         assert rebuilt.records == t.records
-
-    def test_roundtrip_preserves_summary(self):
-        t = Trace()
-        t.record("a", "gpu", "compute", 0, 4, flops=100)
-        t.record("b", "gpu", "h2d", 2, 6, nbytes=50)
-        rebuilt = Trace.from_records(t.to_records())
-        assert rebuilt.summary() == t.summary()
 
 
 class TestPhaseSpans:
@@ -172,15 +175,16 @@ class TestPhaseSpans:
 
     def test_phase_spans_appended_in_order(self):
         t = self._trace()
-        assert [s.phase for s in t.phase_spans] == [
+        assert [s.name for s in t.tracer.find(category="phase")] == [
             "setup", "map", "reduce", "map", "map",
         ]
 
     def test_phases_filter_by_rank_and_iteration(self):
         t = self._trace()
-        assert len(t.phases(rank=0)) == 4
-        assert len(t.phases(rank=0, iteration=0)) == 2
-        assert [s.phase for s in t.phases(iteration=-1)] == ["setup"]
+        assert [
+            (s.attrs["rank"], s.attrs["iteration"])
+            for s in t.tracer.find(category="phase")
+        ] == [(0, -1), (0, 0), (0, 0), (1, 0), (0, 1)]
 
     def test_phase_breakdown_groups_per_iteration(self):
         t = self._trace()
@@ -222,7 +226,7 @@ class TestObservedRates:
         t = Trace()
         t.record("a", "d", "compute", 0.0, 1.0)
         t.record("b", "d", "compute", 3.0, 4.0)
-        assert [r.label for r in t.filter(device="d", since=2.0)] == ["b"]
+        assert [r.name for r in t.filter(device="d", since=2.0)] == ["b"]
 
     def test_overhead_counts_toward_busy_not_flops(self):
         t = Trace()
