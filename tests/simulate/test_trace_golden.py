@@ -33,21 +33,23 @@ CHAOS = [
 ]
 
 
-def gemv_dynamic():
+def gemv_dynamic(selfprof=False):
     app = GemvApp(random_matrix(4000, 64, seed=3), random_vector(64, seed=4))
-    return PRSRuntime(delta_cluster(8), JobConfig(scheduling="dynamic")).run(app)
+    config = JobConfig(scheduling="dynamic", selfprof=selfprof)
+    return PRSRuntime(delta_cluster(8), config).run(app)
 
 
-def gmm_static():
+def gmm_static(selfprof=False):
     pts, _, _ = gaussian_mixture(3000, 8, 5, seed=5)
     app = GMMApp(pts, 5, tolerance=1e-300, max_iterations=4, seed=5)
-    return PRSRuntime(delta_cluster(4), JobConfig(scheduling="static")).run(app)
+    config = JobConfig(scheduling="static", selfprof=selfprof)
+    return PRSRuntime(delta_cluster(4), config).run(app)
 
 
-def cmeans_chaos():
+def cmeans_chaos(selfprof=False):
     pts, _, _ = gaussian_mixture(2000, 16, 5, seed=7)
     app = CMeansApp(pts, 5, epsilon=1e-300, max_iterations=10, seed=7)
-    config = JobConfig(initial_nodes=2, faults=list(CHAOS))
+    config = JobConfig(initial_nodes=2, faults=list(CHAOS), selfprof=selfprof)
     return PRSRuntime(delta_cluster(6), config).run(app)
 
 
@@ -113,6 +115,25 @@ def _views(result) -> dict[str, str]:
 def test_trace_views_match_golden(job):
     run, pins = GOLDEN[job]
     assert _views(run()) == pins
+
+
+#: sha256 of each job's host-profile call tree: the sorted
+#: ``(path, calls)`` pairs of every node.  Wall times vary run to run,
+#: but the scopes opened and how often they open are deterministic, so
+#: an instrumentation change that moves a scope or drops a call shows.
+HOST_TREE = {
+    "gemv-dynamic": "421e9c8df8c7748cc28608e85440884a204d1af3c195780298ed278d56b65604",
+    "gmm-static": "7ae85e11c71fd254e35a3a8e0dc85848ec80d85f973755f2e5334e38e1f95cc5",
+    "cmeans-chaos": "19611ae6699b3d87a7966370acec4a8b8761a74cb3caf17ca5c06240849a3958",
+}
+
+
+@pytest.mark.parametrize("job", sorted(HOST_TREE))
+def test_host_profile_tree_matches_golden(job):
+    run, _ = GOLDEN[job]
+    profile = run(selfprof=True).selfprofile
+    tree = sorted((";".join(path), node.calls) for path, node in profile.nodes())
+    assert _sha(tree) == HOST_TREE[job]
 
 
 def test_reversed_record_leaves_no_partial_state():
