@@ -19,11 +19,14 @@ Design:
   never schedule events, and never consult simulated time.  A run with
   profiling enabled is therefore bitwise identical (events, spans,
   outputs) to the same run without it; only host wall time differs.
-* Disabled-by-default fast path: every instrumented site guards on
-  ``profiler is None`` (one attribute read + ``is`` test), so the
-  instrumentation is effectively free when profiling is off.  The
-  enabled path is two ``perf_counter`` calls + two dict operations per
-  scope, kept under the 5 % overhead budget asserted by
+* One body per instrumented site: each hot path runs the same code
+  with profiling on or off, and profiling is a side call into this
+  module (``begin``/``end``, :meth:`SelfProfiler.call`,
+  :meth:`SelfProfiler.dispatch`) made only when a profiler is attached
+  — one attribute read + ``is`` test when profiling is off.  The frame
+  stack is private to the profiler: no other module reads or writes
+  it.  The enabled path is two ``perf_counter`` calls + two dict
+  operations per scope, kept under the 5 % overhead budget asserted by
   ``benchmarks/bench_obs_overhead.py``.
 
 Scope-name convention — ``section`` or ``section:detail`` with the
@@ -118,21 +121,6 @@ class HostNode:
             yield from child.walk(here)
 
 
-class _Scope:
-    """Reusable ``with`` helper returned by :meth:`SelfProfiler.scope`."""
-
-    __slots__ = ("_prof",)
-
-    def __init__(self, prof: "SelfProfiler") -> None:
-        self._prof = prof
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        self._prof.end()
-
-
 class SelfProfiler:
     """Nestable host wall-clock scopes with a call-tree accumulator.
 
@@ -141,17 +129,16 @@ class SelfProfiler:
     """
 
     __slots__ = ("root", "_nodes", "_t0s", "_started_at", "_stopped_at",
-                 "_dispatch_keys", "_scope", "_open_dispatch", "_open_t0")
+                 "_dispatch_keys", "_open_dispatch", "_open_t0")
 
     def __init__(self) -> None:
         self.root = HostNode(ROOT_SCOPE)
-        #: Hot-path ABI: two parallel frame stacks (node, entry time)
-        #: instead of one stack of tuples — no allocation per scope.
-        #: The highest-frequency call sites (``Engine.step``,
-        #: ``Trace.record``) push/pop these directly rather than paying a
-        #: method call per scope; everything else uses begin()/end().
-        #: ``_nodes`` always carries the root; ``_t0s`` gains the root
-        #: frame's entry time at :meth:`start`.
+        #: the frame stack, private to this class: two parallel stacks
+        #: (node, entry time) instead of one stack of tuples — no
+        #: allocation per scope.  Call sites enter and leave frames only
+        #: through begin()/end(), call() and dispatch().  ``_nodes``
+        #: always carries the root; ``_t0s`` gains the root frame's
+        #: entry time at :meth:`start`.
         self._nodes: list[HostNode] = [self.root]
         self._t0s: list[float] = []
         self._started_at: float | None = None
@@ -159,14 +146,9 @@ class SelfProfiler:
         #: memoized event/process-class -> scope-name strings, so the
         #: per-event classification costs one dict hit after warm-up
         self._dispatch_keys: dict[str, str] = {}
-        self._scope = _Scope(self)
-        #: deferred engine-dispatch frame (coalesced dispatch scopes):
-        #: the engine leaves its dispatch scope *open* across events, so
-        #: a run of consecutive events of the same class costs zero
-        #: clock reads — only class transitions read the clock (once,
-        #: shared between the close and the open).  The open frame sits
-        #: on ``_nodes`` without a ``_t0s`` entry; its entry time lives
-        #: here and :meth:`flush_dispatch` closes it.
+        #: deferred engine-dispatch frame (see :meth:`dispatch`): it
+        #: sits on ``_nodes`` without a ``_t0s`` entry; its entry time
+        #: lives here and :meth:`flush_dispatch` closes it.
         self._open_dispatch: HostNode | None = None
         self._open_t0 = 0.0
 
@@ -203,6 +185,30 @@ class SelfProfiler:
             node.calls += 1
             node.inclusive_s += now - self._t0s.pop()
         self._stopped_at = now
+
+    def dispatch(self, node: HostNode) -> None:
+        """Charge one engine event dispatch to *node*.
+
+        Dispatch scopes are *coalesced*: the engine calls this once per
+        event, before running the event's callbacks, and the scope stays
+        open across events, so a run of consecutive events of the same
+        class costs zero clock reads and a class transition costs one
+        (shared between closing the old scope and opening the new).
+        The event-loop bookkeeping between coalesced events is charged to
+        the scope it extends (it is dispatch overhead).  *node* must be a
+        root child (:meth:`node_for`); the engine's run loop closes the
+        open scope with :meth:`flush_dispatch` on exit.
+        """
+        open_ = self._open_dispatch
+        if open_ is not node:
+            now = perf_counter()
+            if open_ is not None:
+                open_.inclusive_s += now - self._open_t0
+                self._nodes.pop()
+            self._nodes.append(node)
+            self._open_dispatch = node
+            self._open_t0 = now
+        node.calls += 1
 
     def flush_dispatch(self) -> None:
         """Close the deferred engine-dispatch scope, if one is open.
@@ -247,19 +253,14 @@ class SelfProfiler:
     def node_for(self, name: str) -> HostNode:
         """The root-child node for *name*, created on first use.
 
-        For call sites that cache the resolved node and push frames on
-        the hot-path stacks directly (the engine's per-event dispatch);
-        only valid for scopes always entered at root depth.
+        For the engine, which caches the resolved node per process class
+        and hands it to :meth:`dispatch`; only valid for scopes always
+        entered at root depth.
         """
         node = self.root.children.get(name)
         if node is None:
             node = self.root.children[name] = HostNode(name)
         return node
-
-    def scope(self, name: str) -> _Scope:
-        """``with prof.scope("policy:split"): ...`` for cool paths."""
-        self.begin(name)
-        return self._scope
 
     def call(self, name: str, fn: Callable, *args: Any, **kwargs: Any) -> Any:
         """Run ``fn(*args, **kwargs)`` inside a scope (exception-safe)."""

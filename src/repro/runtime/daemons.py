@@ -180,6 +180,36 @@ def _alloc_seconds(
     return (region.stats.backing_allocs - before) * MALLOC_OVERHEAD_S
 
 
+def _scoped(prof: Any, name: str, fn: Any, *args: Any) -> Any:
+    """``fn(*args)``, inside host-profiler scope *name* when profiling."""
+    if prof is None:
+        return fn(*args)
+    return prof.call(name, fn, *args)
+
+
+def _map_kernel(
+    daemon: Any, scope: str, kernel: Any, block: Block
+) -> tuple[list[KeyValue], float]:
+    """Run the functional map *kernel* on *block* and price the pairs it
+    emits; returns ``(pairs, alloc_seconds)``.
+
+    When profiling, the kernel runs under *scope* and the allocation
+    under ``alloc:region``.
+    """
+    prof = daemon.trace.selfprof
+    pairs = _scoped(prof, scope, kernel, block)
+    alloc_s = _scoped(
+        prof,
+        "alloc:region",
+        _alloc_seconds,
+        daemon.res,
+        daemon.device_name,
+        len(pairs),
+        daemon.config.use_region_allocator,
+    )
+    return pairs, alloc_s
+
+
 class CpuDaemon:
     """The one daemon thread managing all CPU cores of a node."""
 
@@ -238,33 +268,9 @@ class CpuDaemon:
             # block's own record only lands when it *ends*, which can be
             # many grid pitches away for coarse blocks.
             self.trace.tick(start)
-            prof = self.trace.selfprof
-            if prof is None:
-                pairs = self.app.cpu_map(block)
-                alloc_s = _alloc_seconds(
-                    self.res,
-                    self.device_name,
-                    len(pairs),
-                    self.config.use_region_allocator,
-                )
-            else:
-                # Inline scopes (not prof.call): this runs once per map
-                # block, the highest-frequency kernel site.
-                prof.begin("kernel:cpu-map")
-                try:
-                    pairs = self.app.cpu_map(block)
-                finally:
-                    prof.end()
-                prof.begin("alloc:region")
-                try:
-                    alloc_s = _alloc_seconds(
-                        self.res,
-                        self.device_name,
-                        len(pairs),
-                        self.config.use_region_allocator,
-                    )
-                finally:
-                    prof.end()
+            pairs, alloc_s = _map_kernel(
+                self, "kernel:cpu-map", self.app.cpu_map, block
+            )
             duration = (
                 self.overheads.cpu_task_dispatch_s
                 + self.block_seconds(block)
@@ -321,13 +327,8 @@ class CpuDaemon:
                     self.overheads.cpu_task_dispatch_s + flops / (per_core * 1e9)
                 )
                 yield engine.timeout(duration)
-                prof = self.trace.selfprof
-                if prof is None:
-                    sink[key] = self.app.cpu_reduce(key, values)
-                else:
-                    sink[key] = prof.call(
-                        "kernel:cpu-reduce", self.app.cpu_reduce, key, values
-                    )
+                sink[key] = _scoped(self.trace.selfprof, "kernel:cpu-reduce",
+                                    self.app.cpu_reduce, key, values)
                 self.trace.record(
                     f"reduce[{key!r}]",
                     self.device_name,
@@ -475,33 +476,9 @@ class GpuDaemon:
             ):
                 self._cached_blocks.add(key)
                 self.cached_bytes += nbytes
-        prof = self.trace.selfprof
-        if prof is None:
-            pairs = self.app.gpu_map(block)
-            alloc = _alloc_seconds(
-                self.res,
-                self.device_name,
-                len(pairs),
-                self.config.use_region_allocator,
-            )
-        else:
-            # Inline scopes (not prof.call): once per map block — see
-            # the CPU daemon's map path.
-            prof.begin("kernel:gpu-map")
-            try:
-                pairs = self.app.gpu_map(block)
-            finally:
-                prof.end()
-            prof.begin("alloc:region")
-            try:
-                alloc = _alloc_seconds(
-                    self.res,
-                    self.device_name,
-                    len(pairs),
-                    self.config.use_region_allocator,
-                )
-            finally:
-                prof.end()
+        pairs, alloc = _map_kernel(
+            self, "kernel:gpu-map", self.app.gpu_map, block
+        )
         if alloc > 0:
             yield engine.timeout(alloc)
         _log_kernel(self, "gpu-map", block, len(pairs))
@@ -573,13 +550,8 @@ class GpuDaemon:
                 trace=self.trace,
                 label=f"reduce[{key!r}]",
             )
-            prof = self.trace.selfprof
-            if prof is None:
-                sink[key] = self.app.gpu_device_reduce(key, values)
-            else:
-                sink[key] = prof.call(
-                    "kernel:gpu-reduce", self.app.gpu_device_reduce, key, values
-                )
+            sink[key] = _scoped(self.trace.selfprof, "kernel:gpu-reduce",
+                                self.app.gpu_device_reduce, key, values)
 
         procs = [
             engine.process(one(k, v), name="gpu-reduce") for k, v in groups.items()

@@ -35,7 +35,7 @@ class TestEventLogUnits:
         assert log.error("x", "kept", t=0.0) is not None
         assert len(log) == 2
         assert log.emitted == 2
-        assert not log.wants_debug and not log.wants_info
+        assert not log.wants_debug
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):
@@ -197,6 +197,34 @@ class TestFlightRecorderRankKill:
             assert profile.tracer.get(rec.span_id) is not None
         # The recovery summary carries the same dumps.
         assert len(result.recovery.flight_dumps) == len(log.dumps)
+
+
+class TestLoggingSmokeCLI:
+    def test_rank_kill_json_carries_fault_dumps(self, capsys):
+        # CI's logging-smoke gate: 4-rank GMM with rank 2 killed mid-run
+        # at --log-level info.  The event log must capture the fault
+        # narrative and the flight recorder must dump its tail, with the
+        # dumps riding the recovery summary in --json.
+        from repro.cli import main
+
+        assert main([
+            "run", "--app", "gmm", "--size", "1500", "--nodes", "4",
+            "--iterations", "4", "--faults", "rank_kill@2:t=0.02",
+            "--fault-seed", "7", "--log-level", "info", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        logs = payload["logs"]
+        assert logs["level"] == "info"
+        assert logs["records"] > 0 and logs["emitted"] >= logs["records"]
+        assert logs["dumps"], "flight recorder never dumped"
+        dumps = payload["recovery"]["flight_dumps"]
+        assert dumps, "dumps missing from the recovery summary"
+        assert any(d["trigger"] == "fault" for d in dumps)
+        for d in dumps:
+            seqs = [r["seq"] for r in d["records"]]
+            assert seqs == sorted(seqs), "dump not causally ordered"
+        msgs = [r["message"] for d in dumps for r in d["records"]]
+        assert any("rank_kill" in m for m in msgs), msgs
 
 
 class TestNetSlowAlertDump:

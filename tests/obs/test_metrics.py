@@ -51,9 +51,9 @@ class TestGauge:
         g = Gauge("depth")
         g.set(4.0, node="n0")
         g.inc(2.0, node="n0")
-        g.dec(5.0, node="n0")
+        g.inc(-5.0, node="n0")
         assert g.value(node="n0") == 1.0
-        g.dec()  # unlabeled series is independent
+        g.inc(-1.0)  # unlabeled series is independent
         assert g.value() == -1.0
 
 

@@ -478,6 +478,31 @@ class TestSelfprofCLI:
         assert "engine" in host["sections"]
         assert host["top_exclusive"]
 
+    def test_selfprof_smoke_matches_plain_run(self, capsys):
+        # CI's selfprof-smoke gate: on the C-means smoke run, host
+        # self-profiling must leave the simulated schedule untouched and
+        # attribute real time to the engine and kernel subsystems.
+        import json
+
+        smoke = [
+            "run", "--app", "cmeans", "--size", "2000", "--nodes", "2",
+            "--iterations", "3", "--json",
+        ]
+        assert main(smoke + ["--selfprof"]) == 0
+        prof = json.loads(capsys.readouterr().out)
+        assert main(smoke) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert prof["makespan_s"] == plain["makespan_s"], (
+            "selfprof perturbed the simulated schedule")
+        assert (prof["sampling"]["engine_events"]
+                == plain["sampling"]["engine_events"]), (
+            "selfprof perturbed the event count")
+        host = prof["host"]
+        assert host["wall_s"] > 0 and host["events_per_sec"] > 0
+        sections = host["sections"]
+        assert "engine" in sections and "kernel" in sections, sections
+        assert host["top_exclusive"], "empty hotspot list"
+
     def test_plain_run_has_no_host_block(self, capsys):
         import json
 
