@@ -72,14 +72,6 @@ class Jacobi1DApp(IterativeMapReduceApp):
         self.residual_history: list[float] = []
         self._intensity = ConstantIntensity(0.4, label="jacobi1d")
 
-    @classmethod
-    def hot_spot(cls, n_cells: int, **kwargs) -> "Jacobi1DApp":
-        """Standard test problem: zero grid, hot left boundary."""
-        require_positive_int("n_cells", n_cells)
-        grid = np.zeros(n_cells)
-        grid[0] = 100.0
-        return cls(grid, **kwargs)
-
     # ------------------------------------------------------------------
     def n_items(self) -> int:
         return self.grid.shape[0]

@@ -207,11 +207,6 @@ def _run_job(args: argparse.Namespace):
         sample_interval = args.sample_interval
     else:
         sample_interval = DEFAULT_SAMPLE_INTERVAL
-    selfprof = bool(
-        getattr(args, "selfprof", False)
-        or getattr(args, "selfprof_out", None) is not None
-        or getattr(args, "self_host", False)
-    )
     config = JobConfig(
         scheduling=policy,
         use_cpu=not args.gpu_only,
@@ -221,7 +216,7 @@ def _run_job(args: argparse.Namespace):
         sample_interval=sample_interval,
         initial_nodes=args.initial_nodes,
         autoscale=_parse_autoscale(args.autoscale),
-        selfprof=selfprof,
+        selfprof=args.selfprof,
         log_level=getattr(args, "log_level", None),
     )
     result = PRSRuntime(cluster, config).run(app)
@@ -290,33 +285,12 @@ def _profile_meta(args, cluster, app, config, result) -> dict:
     }
 
 
-def _write_selfprof(result, app, path: str | None) -> str:
-    """Write the run's host self-profile JSON; returns the path.
-
-    The file is one ``{"host_profile": {...}}`` object — the same shape
-    as the schema-v2 profile line — so ``repro selfprof`` reads either a
-    full profile JSONL or this standalone file.
-    """
-    import json
-
-    if path is None:
-        path = f"{app.name}_selfprof.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"host_profile": result.selfprofile.to_dict()},
-                            sort_keys=True) + "\n")
-    return path
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cluster, app, config, result = _run_job(args)
 
     profile_path: str | None = None
     if args.profile or args.profile_out is not None:
         profile_path = _write_profile(result, app, args.profile_out)
-
-    selfprof_path: str | None = None
-    if result.selfprofile is not None and args.selfprof_out is not None:
-        selfprof_path = _write_selfprof(result, app, args.selfprof_out)
 
     dashboard_path: str | None = None
     if args.dashboard_out is not None:
@@ -386,8 +360,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             }
         if profile_path is not None:
             payload["profile"] = profile_path
-        if selfprof_path is not None:
-            payload["selfprof"] = selfprof_path
         if dashboard_path is not None:
             payload["dashboard"] = dashboard_path
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -403,9 +375,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if profile_path is not None:
             print(f"\nprofile written: {profile_path} (Chrome trace-event "
                   "JSON; load in Perfetto or chrome://tracing)")
-        if selfprof_path is not None:
-            print(f"self-profile written: {selfprof_path} (report with "
-                  "`repro selfprof`)")
         if dashboard_path is not None:
             print(f"dashboard written: {dashboard_path}")
         return 0
@@ -458,9 +427,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(render_selfprof(result.selfprofile))
-        if selfprof_path is not None:
-            print(f"self-profile written: {selfprof_path} (report with "
-                  "`repro selfprof`; flamegraph via --speedscope)")
     if profile_path is not None:
         from repro.analysis.report import render_profile_summary
 
@@ -526,8 +492,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     analyses: list[tuple[str, Any]] = []
     host = None
     if args.profiles:
-        if args.self_host:
-            print("analyze --self: saved Chrome traces carry no host "
+        if args.selfprof:
+            print("analyze --selfprof: saved Chrome traces carry no host "
                   "self-profile; run live (omit PROFILE args) to measure "
                   "the simulator's wall clock", file=sys.stderr)
         for path in _profile_paths(args.profiles):
@@ -701,31 +667,13 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.report import render_selfprof
-    from repro.obs.selfprof import HostProfile
+    from repro.obs.profile import load_profile
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    host = None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "host_profile" in obj:
-        # Standalone self-profile (run --selfprof-out).
-        host = HostProfile.from_dict(obj["host_profile"])
-    elif isinstance(obj, dict) and "tree" in obj:
-        # A bare HostProfile.to_dict dump.
-        host = HostProfile.from_dict(obj)
-    else:
-        # Full profile JSONL (schema v2 host_profile line).
-        from repro.obs.profile import loads_profile
-
-        host = loads_profile(text).host
+    host = load_profile(args.file).host
     if host is None:
         raise SystemExit(
             f"{args.file}: no host self-profile found — produce one with "
-            "`repro run --selfprof-out PATH` or `repro trace export "
-            "--format profile` on a --selfprof run"
+            "`repro trace export --selfprof --format profile --out PATH`"
         )
 
     if args.speedscope is not None:
@@ -837,15 +785,12 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         text = result.trace.tracer.to_chrome_json(indent=args.indent)
         default_out = f"{app.name}.trace.json"
-    elif args.format == "profile":
+    else:
         from repro.obs.profile import profile_jsonl
 
         meta = _profile_meta(args, cluster, app, config, result)
         text = profile_jsonl(result.trace, meta, host=result.selfprofile)
         default_out = f"{app.name}.profile.jsonl"
-    else:
-        text = result.trace.tracer.to_jsonl()
-        default_out = f"{app.name}.spans.jsonl"
 
     out = args.out if args.out is not None else default_out
     if out == "-":
@@ -990,11 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "tiles the makespan within 1e-6 s, the "
                               "slack decomposition sums to total slack, "
                               "and send/recv spans pair 1:1")
-    analyze.add_argument("--self", dest="self_host", action="store_true",
-                         help="also self-profile the simulator's host "
-                              "wall clock during the live run and merge "
-                              "the top hotspots + sim-s/wall-s into the "
-                              "report (docs/PROFILING.md)")
     analyze.set_defaults(func=cmd_analyze)
 
     bench = sub.add_parser(
@@ -1048,9 +988,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/PROFILING.md)",
     )
     selfprof.add_argument("file", metavar="FILE",
-                          help="a run --selfprof-out JSON or a schema-v2 "
-                               "*.profile.jsonl containing a host_profile "
-                               "line")
+                          help="a schema-v2 *.profile.jsonl containing a "
+                               "host_profile line (trace export --selfprof "
+                               "--format profile)")
     selfprof.add_argument("--top", type=int, default=10,
                           help="hotspots to report (default 10)")
     selfprof.add_argument("--json", action="store_true",
@@ -1093,17 +1033,16 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="run an app and export its span hierarchy"
     )
     _add_run_options(export)
-    export.add_argument("--format", choices=["chrome", "jsonl", "profile"],
+    export.add_argument("--format", choices=["chrome", "profile"],
                         default="chrome",
                         help="chrome: trace-event JSON for Perfetto / "
-                             "chrome://tracing; jsonl: one span per line; "
-                             "profile: full JSONL profile (meta + spans + "
+                             "chrome://tracing; profile: full JSONL "
+                             "profile (meta + spans + "
                              "sampled time-series) for `repro dashboard` "
                              "and offline re-analysis")
     export.add_argument("--out", default=None, metavar="PATH",
                         help="output file ('-' for stdout; default "
-                             "{app}.trace.json / {app}.spans.jsonl / "
-                             "{app}.profile.jsonl)")
+                             "{app}.trace.json / {app}.profile.jsonl)")
     export.add_argument("--indent", type=int, default=None,
                         help="pretty-print the chrome JSON")
     export.add_argument("--check", action="store_true",
@@ -1165,10 +1104,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              "hotspot report; simulated results are "
                              "bitwise identical either way "
                              "(docs/PROFILING.md)")
-    parser.add_argument("--selfprof-out", default=None, metavar="PATH",
-                        help="write the host self-profile JSON to PATH "
-                             "(implies --selfprof; report it with "
-                             "`repro selfprof`)")
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"],
                         help="enable the structured event log + fault "

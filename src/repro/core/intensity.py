@@ -46,9 +46,6 @@ class IntensityProfile:
         require_positive("nbytes", nbytes)
         return self.at(nbytes) * nbytes
 
-    def is_constant(self) -> bool:
-        return False
-
     def inverse(self, intensity: float) -> float:
         """Smallest block size (bytes) whose intensity reaches *intensity*.
 
@@ -96,9 +93,6 @@ class ConstantIntensity(IntensityProfile):
     def at(self, nbytes: float) -> float:
         require_positive("nbytes", nbytes)
         return self.value
-
-    def is_constant(self) -> bool:
-        return True
 
     def inverse(self, intensity: float) -> float:
         require_positive("intensity", intensity)

@@ -77,16 +77,6 @@ class RooflineModel:
         intensity = flops / nbytes
         return flops / (self.attainable(intensity) * 1e9)
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move *nbytes* through the device's memory path."""
-        require_positive("nbytes", nbytes)
-        return nbytes / (self.bandwidth * 1e9)
-
-    def compute_time(self, flops: float) -> float:
-        """Seconds of pure compute at the device's peak rate."""
-        require_positive("flops", flops)
-        return flops / (self.peak * 1e9)
-
 
 def roofline_curve(
     device: DeviceSpec,

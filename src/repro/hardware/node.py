@@ -65,18 +65,3 @@ class FatNode:
     def peak_gflops(self) -> float:
         """Aggregate peak of every device on the node."""
         return self.cpu.peak_gflops + sum(g.peak_gflops for g in self.gpus)
-
-    def daemon_count(self) -> int:
-        """Number of device daemon threads PRS spawns on this node.
-
-        One per GPU plus one for all CPU cores (paper §III.C.1).
-        """
-        return 1 + len(self.gpus)
-
-    def with_gpus(self, n: int) -> "FatNode":
-        """Return a copy of this node restricted to its first *n* GPUs."""
-        if n < 0 or n > len(self.gpus):
-            raise ValueError(
-                f"node {self.name} has {len(self.gpus)} GPUs, cannot take {n}"
-            )
-        return FatNode(name=self.name, cpu=self.cpu, gpus=self.gpus[:n])

@@ -14,10 +14,10 @@ Every :class:`repro.simulate.trace.Trace` owns one of each, so all
 existing instrumentation flows into them automatically; the CLI surfaces
 them via ``repro metrics``, ``repro trace export`` and ``run --profile``.
 
-:func:`check_profile` is the self-consistency gate CI runs on every
-smoke profile: spans must close, durations must be non-negative, children
-must stay inside parents, and the per-rank phase spans must tile the
-makespan.
+:func:`check_profile` is the self-consistency gate behind
+``repro trace export --check``: spans must close, durations must be
+non-negative, children must stay inside parents, and the per-rank phase
+spans must tile the makespan.
 """
 
 from __future__ import annotations

@@ -56,17 +56,6 @@ class DecisionRecord:
             "outputs": dict(self.outputs),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "DecisionRecord":
-        return cls(
-            kind=payload["kind"],
-            node=payload["node"],
-            time=payload["time"],
-            iteration=payload["iteration"],
-            inputs=dict(payload.get("inputs", {})),
-            outputs=dict(payload.get("outputs", {})),
-        )
-
 
 class DecisionLog:
     """Append-only store of scheduling decisions, owned by the Trace."""
@@ -120,16 +109,6 @@ class DecisionLog:
         if node is not None:
             out = [r for r in out if r.node == node]
         return out
-
-    def to_records(self) -> list[dict[str, Any]]:
-        return [r.to_dict() for r in self._records]
-
-    @classmethod
-    def from_records(cls, payload: list[dict[str, Any]]) -> "DecisionLog":
-        log = cls()
-        for item in payload:
-            log.append(DecisionRecord.from_dict(item))
-        return log
 
 
 # ---------------------------------------------------------------------------

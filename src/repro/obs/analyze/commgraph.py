@@ -67,11 +67,6 @@ class Message:
     #: analytic fault-free wire time (alpha + n*beta); 0 for local links
     pred_s: float = 0.0
 
-    @property
-    def flight_s(self) -> float:
-        """Wall seconds the message spent in delivery (send span length)."""
-        return self.visible_at - self.sent_at
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "msg_id": self.msg_id,

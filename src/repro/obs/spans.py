@@ -1,4 +1,4 @@
-"""Hierarchical span tracing with Chrome trace-event and JSONL export.
+"""Hierarchical span tracing with Chrome trace-event export.
 
 A :class:`Span` is one named, timed interval on one *track* (a rank, a
 device, a NIC).  Spans nest — the runtime builds the hierarchy
@@ -16,8 +16,6 @@ Exports:
 * :meth:`SpanTracer.to_chrome` — the Chrome trace-event JSON object
   format (``{"traceEvents": [...]}`` with ``ph: "X"`` complete events and
   thread-name metadata), loadable directly in Perfetto / chrome://tracing;
-* :meth:`SpanTracer.to_jsonl` — one JSON object per span, for ad-hoc
-  ``jq``/pandas analysis;
 * :meth:`SpanTracer.from_chrome` — rebuilds a tracer from the Chrome
   export (round-trip tested).
 
@@ -173,12 +171,6 @@ class SpanTracer:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-    def tracks(self) -> list[str]:
-        return list(self._tracks)
-
-    def open_spans(self) -> list[Span]:
-        return [s for stack in self._stacks.values() for s in stack]
 
     def get(self, span_id: int) -> Span | None:
         return self._by_id.get(span_id)
@@ -363,9 +355,3 @@ class SpanTracer:
         span.span_id = span_id
         self._by_id[span_id] = span
         self._next_id = max(self._next_id, span_id + 1)
-
-    def to_jsonl(self) -> str:
-        """One JSON object per span, in recording order."""
-        return "\n".join(json.dumps(s.to_dict()) for s in self._spans) + (
-            "\n" if self._spans else ""
-        )

@@ -557,8 +557,3 @@ class GpuDaemon:
             engine.process(one(k, v), name="gpu-reduce") for k, v in groups.items()
         ]
         yield engine.all_of(procs)
-
-    def invalidate_cache(self) -> None:
-        """Drop the resident input (e.g. a new job reusing the daemon)."""
-        self._cached_blocks.clear()
-        self.cached_bytes = 0.0

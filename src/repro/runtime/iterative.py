@@ -4,8 +4,7 @@ The structural support — a single GPU-context-owning daemon per card and
 loop-invariant input caching — lives in
 :class:`~repro.runtime.daemons.GpuDaemon` (``input_cached``).  This module
 provides the per-iteration bookkeeping the :class:`ConvergencePhase` of
-:mod:`repro.runtime.phases` records on the master, and convergence
-helpers shared by the iterative applications.  Each driver iteration is
+:mod:`repro.runtime.phases` records on the master.  Each driver iteration is
 one execution of the task graph built by
 :func:`repro.runtime.phases.iteration_graph` (see ``docs/DAG.md``); for
 the *intra*-iteration time breakdown (map vs shuffle vs reduce ...) see
@@ -17,8 +16,6 @@ span one node of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -69,21 +66,3 @@ class IterationLog:
         if len(self.stats) <= 1:
             return 0.0
         return max(0.0, self.stats[0].duration - self.steady_state_time())
-
-
-def max_membership_delta(u_old: np.ndarray, u_new: np.ndarray) -> float:
-    """The paper's C-means termination quantity
-    ``max_ij |u_ij^(k+1) - u_ij^(k)|``."""
-    if u_old.shape != u_new.shape:
-        raise ValueError(
-            f"membership shapes differ: {u_old.shape} vs {u_new.shape}"
-        )
-    return float(np.max(np.abs(u_new - u_old)))
-
-
-def relative_change(old: np.ndarray, new: np.ndarray) -> float:
-    """Relative Frobenius change between successive parameter sets."""
-    denom = float(np.linalg.norm(old))
-    if denom == 0.0:
-        return float(np.linalg.norm(new))
-    return float(np.linalg.norm(new - old)) / denom

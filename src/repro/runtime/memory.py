@@ -75,14 +75,6 @@ class Region:
     def capacity(self) -> int:
         return int(self._buffer.size)
 
-    @property
-    def used(self) -> int:
-        return self._top
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._top
-
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> tuple[int, np.ndarray]:
         """Reserve *nbytes*; grows the backing buffer when full."""
@@ -157,10 +149,6 @@ class RegionAllocator:
         for region in self._regions.values():
             region.reset()
         self._resets += 1
-
-    @property
-    def regions(self) -> dict[str, Region]:
-        return dict(self._regions)
 
     def note_block(self, key: tuple[int, int], thread_id: str) -> None:
         """Record that block *key*'s intermediates live in *thread_id*'s

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from repro._validation import require_nonnegative_int, require_positive_int
 
-#: Paper default: two partitions per fat node.
-PARTITIONS_PER_NODE = 2
-
 
 def partition_range(n_items: int, n_partitions: int) -> list[tuple[int, int]]:
     """Split ``[0, n_items)`` into *n_partitions* near-equal ranges.
@@ -80,9 +77,3 @@ def blocks_nbytes(blocks, bytes_of) -> float:
     never a simulated cost.
     """
     return float(sum(bytes_of(block) for block in blocks))
-
-
-def default_partition_count(n_nodes: int) -> int:
-    """The paper's default: ``2 x`` the number of fat nodes."""
-    require_positive_int("n_nodes", n_nodes)
-    return PARTITIONS_PER_NODE * n_nodes

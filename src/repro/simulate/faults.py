@@ -314,12 +314,6 @@ class FaultPlan:
             e for e in self.events if e.kind in MEMBERSHIP_KINDS
         )
 
-    def fault_events(self) -> tuple[FaultEvent, ...]:
-        """Every non-membership event (what FaultState injects/scans)."""
-        return tuple(
-            e for e in self.events if e.kind not in MEMBERSHIP_KINDS
-        )
-
     @classmethod
     def from_specs(
         cls, specs: Iterable[str | Mapping[str, Any]], seed: int = 0

@@ -13,8 +13,7 @@ span tracer is the one store of simulated activity:
   time-series sampler read;
 * :meth:`Trace.begin_phase` / :meth:`Trace.end_phase` bracket runtime
   phases live, maintaining the job -> iteration -> phase span hierarchy
-  per rank (:meth:`Trace.record_phase` is the retrospective
-  equivalent); receive waits, recovery brackets, membership transitions
+  per rank; receive waits, recovery brackets, membership transitions
   and alerts get spans of their own categories.
 
 Every report view is derived from the spans: ``records``, ``filter``,
@@ -421,16 +420,6 @@ class Trace:
         span = self._open_phase.get(rank)
         if span is not None and span.is_open:
             span.attrs.update(attrs)
-
-    def record_phase(
-        self, phase: str, rank: int, iteration: int, start: float, end: float
-    ) -> None:
-        """Append one finished phase span (retrospective bracketing)."""
-        if end < start:
-            raise ValueError(
-                f"phase {phase!r}: end {end} precedes start {start}"
-            )
-        self.end_phase(self.begin_phase(phase, rank, iteration, start), end)
 
     def record_recovery(
         self, label: str, rank: int, start: float, end: float, **attrs

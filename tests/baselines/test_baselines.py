@@ -26,12 +26,13 @@ class TestWorkloadSpec:
         from repro.apps.cmeans import CMeansApp
         from repro.data.synth import gaussian_mixture
 
+        # The hand-built Table 3 spec agrees with the app's own accounting.
         pts, _, _ = gaussian_mixture(1000, 10, 3, seed=0)
         app = CMeansApp(pts, 3)
-        spec = WorkloadSpec.from_app(app, iterations=5)
-        assert spec.total_bytes == pytest.approx(1000 * 10 * 4)
-        assert spec.iterations == 5
-        assert spec.resident
+        spec = cmeans_workload(1000, d=10, m=3, iterations=5)
+        assert app.total_bytes() == pytest.approx(spec.total_bytes)
+        assert app.state_bytes() == pytest.approx(spec.state_bytes)
+        assert app.intensity().at(1e6) == spec.intensity.at(1e6)
 
     def test_flops(self):
         w = cmeans_workload(1000)

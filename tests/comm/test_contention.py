@@ -7,6 +7,8 @@ from repro.comm.mpi import World, run_spmd
 from repro.hardware.cluster import NetworkSpec
 from repro.simulate.engine import Engine
 
+from tests.helpers import jacobi_hot_spot
+
 
 def make_world(size, contended, bandwidth=1.0, latency=0.0):
     return World(
@@ -110,14 +112,13 @@ class TestPrsWithContention:
 
     def test_contention_never_faster(self, delta8):
         """With the gather hotspot physical, jobs cannot speed up."""
-        from repro.apps.stencil import Jacobi1DApp
         from repro.runtime.job import JobConfig, Overheads
         from repro.runtime.prs import PRSRuntime
 
         quiet = Overheads(0.0, 0.0, 0.0, 0.0)
 
         def run(contended):
-            app = Jacobi1DApp.hot_spot(
+            app = jacobi_hot_spot(
                 80_000, max_iterations=3, epsilon=1e-15
             )
             config = JobConfig(

@@ -55,8 +55,8 @@ class TestConstantIntensity:
         assert prof.flops(10.0) == 30.0
 
     def test_is_constant(self):
-        assert ConstantIntensity(1.0).is_constant()
-        assert not dgemm_intensity().is_constant()
+        assert ConstantIntensity(1.0).at(1e3) == ConstantIntensity(1.0).at(1e9)
+        assert dgemm_intensity().at(1e3) != dgemm_intensity().at(1e9)
 
     def test_inverse_when_reachable(self):
         assert ConstantIntensity(5.0).inverse(3.0) == 1.0

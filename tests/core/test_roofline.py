@@ -41,16 +41,16 @@ class TestTime:
         model = RooflineModel(delta.gpu, staged=True)
         flops, nbytes = 1e12, 1e9
         t = model.time(flops, nbytes)
-        assert t == pytest.approx(
-            max(model.transfer_time(nbytes), model.compute_time(flops)), rel=1e-9
-        )
+        transfer = nbytes / (model.bandwidth * 1e9)
+        compute = flops / (model.peak * 1e9)
+        assert t == pytest.approx(max(transfer, compute), rel=1e-9)
 
     @given(flops=st.floats(1e3, 1e15), nbytes=st.floats(1e3, 1e12))
     def test_time_positive_and_bounded_below(self, delta, flops, nbytes):
         model = RooflineModel(delta.gpu, staged=True)
         t = model.time(flops, nbytes)
-        assert t >= model.compute_time(flops) - 1e-15
-        assert t >= model.transfer_time(nbytes) * (1 - 1e-12)
+        assert t >= flops / (model.peak * 1e9) - 1e-15
+        assert t >= nbytes / (model.bandwidth * 1e9) * (1 - 1e-12)
 
 
 class TestCurve:

@@ -6,12 +6,19 @@ from repro.hardware import Cluster, FatNode
 from repro.hardware.cluster import NetworkSpec
 from repro.hardware.device import CpuSpec, GpuSpec
 from repro.hardware.presets import delta_node, tesla_c2070, xeon_x5660_pair
+from repro.runtime.daemons import NodeResources
+from repro.runtime.job import JobConfig
+from repro.runtime.scheduler import SubTaskScheduler
+from repro.simulate.engine import Engine
+from repro.simulate.trace import Trace
+
+from tests.helpers import ModSumApp
 
 
 class TestFatNode:
     def test_devices_order_cpu_first(self, delta_two_gpus):
         devs = delta_two_gpus.devices
-        assert devs[0].is_cpu and all(d.is_gpu for d in devs[1:])
+        assert not devs[0].is_gpu and all(d.is_gpu for d in devs[1:])
 
     def test_gpu_property_returns_first(self, delta_two_gpus):
         assert delta_two_gpus.gpu == delta_two_gpus.gpus[0]
@@ -23,14 +30,15 @@ class TestFatNode:
 
     def test_daemon_count_one_per_gpu_plus_one(self, delta_two_gpus):
         # Paper §III.C.1: 2 GPUs + 12 cores -> 3 daemon threads.
-        assert delta_two_gpus.daemon_count() == 3
+        sched = SubTaskScheduler(
+            NodeResources(Engine(), delta_two_gpus), ModSumApp(),
+            JobConfig(gpus_per_node=2), Trace(),
+        )
+        assert sched.cpu_daemon is not None and len(sched.gpu_daemons) == 2
 
     def test_with_gpus_restricts(self, delta_two_gpus):
-        assert delta_two_gpus.with_gpus(1).n_gpus == 1
-
-    def test_with_gpus_rejects_too_many(self, delta):
-        with pytest.raises(ValueError):
-            delta.with_gpus(5)
+        res = NodeResources(Engine(), delta_two_gpus, n_gpus=1)
+        assert [e.gpu for e in res.gpu_engines] == [delta_two_gpus.gpus[0]]
 
     def test_cpu_slot_type_checked(self):
         with pytest.raises(ValueError, match="cpu slot"):

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.stencil import Jacobi1DApp
 from repro.core.intensity import ConstantIntensity
 from repro.runtime.api import Block, IterativeMapReduceApp, MapReduceApp
+
+
+def jacobi_hot_spot(n_cells: int, **kwargs) -> Jacobi1DApp:
+    """The standard stencil problem: zero grid, hot left boundary."""
+    grid = np.zeros(n_cells)
+    grid[0] = 100.0
+    return Jacobi1DApp(grid, **kwargs)
 
 
 class ModSumApp(MapReduceApp):

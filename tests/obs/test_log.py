@@ -201,7 +201,7 @@ class TestFlightRecorderRankKill:
 
 class TestLoggingSmokeCLI:
     def test_rank_kill_json_carries_fault_dumps(self, capsys):
-        # CI's logging-smoke gate: 4-rank GMM with rank 2 killed mid-run
+        # The logging smoke gate: 4-rank GMM with rank 2 killed mid-run
         # at --log-level info.  The event log must capture the fault
         # narrative and the flight recorder must dump its tail, with the
         # dumps riding the recovery summary in --json.

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.obs import SpanTracer
+from repro.obs.profile import profile_jsonl
+from repro.simulate.trace import Trace
 
 
 def build_small_trace() -> SpanTracer:
@@ -83,7 +85,7 @@ class TestNesting:
         outer = t.begin("outer", "trk", 0.0)
         inner = t.begin("inner", "trk", 5.0)
         t.finalize(3.0)  # earlier than inner.start: clamps, never negative
-        assert not t.open_spans()
+        assert not any(s.is_open for s in t.spans)
         assert inner.end == 5.0
         assert outer.end == 3.0
 
@@ -97,8 +99,10 @@ class TestOrderingAndQueries:
         assert [s.span_id for s in t.spans] == [1, 2, 3, 4]
 
     def test_tracks_in_first_seen_order(self):
-        t = build_small_trace()
-        assert t.tracks() == ["rank0", "node.cpu"]
+        events = build_small_trace().to_chrome()["traceEvents"]
+        threads = [e["args"]["name"] for e in events
+                   if e["name"] == "thread_name"]
+        assert threads == ["rank0", "node.cpu"]
 
     def test_find_by_category_and_track(self):
         t = build_small_trace()
@@ -177,9 +181,11 @@ class TestChromeExport:
 
 
 class TestJsonl:
+    """The span lines of the profile JSONL export."""
+
     def test_one_object_per_span(self):
-        t = build_small_trace()
-        lines = t.to_jsonl().splitlines()
+        text = profile_jsonl(Trace(tracer=build_small_trace()))
+        lines = text.splitlines()[1:]  # after the profile_meta header
         assert len(lines) == 4
         objs = [json.loads(line) for line in lines]
         assert [o["name"] for o in objs] == [
@@ -188,4 +194,5 @@ class TestJsonl:
         assert objs[3]["parent_id"] == objs[2]["span_id"]
 
     def test_empty_tracer_renders_empty(self):
-        assert SpanTracer().to_jsonl() == ""
+        lines = profile_jsonl(Trace()).splitlines()
+        assert [list(json.loads(line)) for line in lines] == [["profile_meta"]]

@@ -72,14 +72,6 @@ class TestCapacityBoundedCache:
         assert len(cached) == 1  # 1000 B fits in 1843 B budget, 2000 B not
         assert daemon.cached_bytes <= 0.9 * node.gpu.memory_bytes
 
-    def test_invalidate_frees_budget(self):
-        node = tiny_gpu_node(memory_bytes=1 << 20)
-        app = CountdownApp(n=100)
-        daemon, _ = run_block_twice(node, app, Block(0, 100))
-        assert daemon.cached_bytes > 0
-        daemon.invalidate_cache()
-        assert daemon.cached_bytes == 0.0
-
     def test_end_to_end_oversized_iterative_job(self):
         """A full PRS job whose data exceeds GPU memory still completes,
         paying staging every iteration."""

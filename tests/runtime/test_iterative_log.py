@@ -1,14 +1,8 @@
-"""Tests for iteration bookkeeping and convergence helpers."""
+"""Tests for iteration bookkeeping."""
 
-import numpy as np
 import pytest
 
-from repro.runtime.iterative import (
-    IterationLog,
-    IterationStats,
-    max_membership_delta,
-    relative_change,
-)
+from repro.runtime.iterative import IterationLog, IterationStats
 
 
 def make_log(durations):
@@ -49,22 +43,3 @@ class TestIterationLog:
 
     def test_len(self):
         assert len(make_log([1.0, 1.0])) == 2
-
-
-class TestConvergenceHelpers:
-    def test_max_membership_delta(self):
-        u1 = np.array([[0.5, 0.5], [1.0, 0.0]])
-        u2 = np.array([[0.6, 0.4], [1.0, 0.0]])
-        assert max_membership_delta(u1, u2) == pytest.approx(0.1)
-
-    def test_membership_shape_check(self):
-        with pytest.raises(ValueError):
-            max_membership_delta(np.zeros((2, 2)), np.zeros((3, 2)))
-
-    def test_relative_change(self):
-        old = np.array([3.0, 4.0])  # norm 5
-        new = np.array([3.0, 4.5])
-        assert relative_change(old, new) == pytest.approx(0.1)
-
-    def test_relative_change_from_zero(self):
-        assert relative_change(np.zeros(2), np.array([1.0, 0.0])) == 1.0

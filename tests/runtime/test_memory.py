@@ -53,10 +53,10 @@ class TestRegion:
         for _ in range(10):
             region.alloc(50)
         region.reset()
-        assert region.used == 0
-        # Buffer is reused: no new backing allocation after reset.
+        # Buffer is reused from the bottom: no new backing allocation.
         before = region.stats.backing_allocs
-        region.alloc(50)
+        offset, _ = region.alloc(50)
+        assert offset == 0
         assert region.stats.backing_allocs == before
 
     def test_view_bounds_checked(self):
@@ -85,17 +85,18 @@ class TestRegion:
 class TestRegionAllocator:
     def test_per_thread_regions_isolated(self):
         alloc = RegionAllocator(256)
-        alloc.alloc("cpu", 100)
-        alloc.alloc("gpu0", 100)
-        assert set(alloc.regions) == {"cpu", "gpu0"}
-        assert alloc.regions["cpu"].used >= 100
+        assert alloc.alloc("cpu", 100)[0] == 0
+        assert alloc.alloc("gpu0", 100)[0] == 0
+        assert alloc.region("cpu") is not alloc.region("gpu0")
+        assert alloc.region("cpu").view(0, 100).size == 100
 
     def test_reset_all(self):
         alloc = RegionAllocator(256)
         alloc.alloc("a", 10)
         alloc.alloc("b", 10)
         alloc.reset_all()
-        assert all(r.used == 0 for r in alloc.regions.values())
+        assert alloc.alloc("a", 10)[0] == 0
+        assert alloc.alloc("b", 10)[0] == 0
 
     def test_total_stats_aggregate(self):
         alloc = RegionAllocator(1 << 16)

@@ -3,11 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.partition import (
-    default_partition_count,
-    partition_range,
-    weighted_partition,
-)
+from repro.runtime.job import JobConfig
+from repro.runtime.partition import partition_range, weighted_partition
 from repro.runtime.shuffle import (
     apply_combiner,
     bucket_of,
@@ -35,7 +32,7 @@ class TestPartitionRange:
 
     def test_default_count_is_two_per_node(self):
         """Paper §III.B.2: default partitions = 2 x fat nodes."""
-        assert default_partition_count(4) == 8
+        assert JobConfig().partitions_per_node == 2
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(0, 10_000), k=st.integers(1, 64))

@@ -101,15 +101,6 @@ class TestGpuDaemon:
         # A different span is not covered by the cache.
         assert not daemon.is_cached(Block(100, 200))
 
-    def test_invalidate_cache(self, delta):
-        app = CountdownApp(n=1000)
-        engine = Engine()
-        daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
-        sink = []
-        engine.run(engine.process(daemon.run_map_block(Block(0, 50), sink)))
-        daemon.invalidate_cache()
-        assert not daemon.is_cached(Block(0, 50))
-
     def test_gpu_index_bounds(self, delta):
         engine = Engine()
         res = NodeResources(engine, delta, n_gpus=1)

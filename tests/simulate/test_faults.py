@@ -156,7 +156,7 @@ class TestFaultPlan:
             ["join@2:t=0.04", "gpu_kill@0:t=0.03", "drain@2:t=0.1"]
         )
         assert [e.kind for e in plan.membership_events()] == ["join", "drain"]
-        assert [e.kind for e in plan.fault_events()] == ["gpu_kill"]
+        assert [e.kind for e in plan.events] == ["join", "gpu_kill", "drain"]
 
 
 def _state(specs, seed=0):

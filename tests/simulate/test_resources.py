@@ -65,12 +65,15 @@ class TestResource:
     def test_never_exceeds_capacity(self):
         eng = Engine()
         res = Resource(eng, capacity=3)
+        holders = [0]
         peak = [0]
 
         def worker():
             yield res.request()
-            peak[0] = max(peak[0], res.in_use)
+            holders[0] += 1
+            peak[0] = max(peak[0], holders[0])
             yield eng.timeout(1.0)
+            holders[0] -= 1
             res.release()
 
         for _ in range(10):

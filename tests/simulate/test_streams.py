@@ -7,7 +7,6 @@ from repro.core.granularity import overlap_percentage
 from repro.simulate.streams import (
     StreamBlock,
     kernel_time,
-    serialized_batch_time,
     simulate_stream_batch,
 )
 from repro.simulate.trace import Trace
@@ -36,7 +35,12 @@ class TestSerialVsOverlap:
     def test_single_stream_equals_serialized_sum(self, delta):
         blocks = balanced_blocks(delta.gpu)
         t = simulate_stream_batch(delta.gpu, blocks, n_streams=1)
-        assert t == pytest.approx(serialized_batch_time(delta.gpu, blocks))
+        serial = sum(
+            (b.in_bytes + b.out_bytes) / (delta.gpu.pcie_bandwidth * 1e9)
+            + kernel_time(delta.gpu, b)
+            for b in blocks
+        )
+        assert t == pytest.approx(serial)
 
     def test_streams_beat_serial_for_balanced_blocks(self, delta):
         """'the stream approach can only improve application performance

@@ -163,14 +163,18 @@ class TestExport:
         assert rebuilt.records == t.records
 
 
+def record_phase(t, phase, rank, iteration, start, end):
+    t.end_phase(t.begin_phase(phase, rank, iteration, start), end)
+
+
 class TestPhaseSpans:
     def _trace(self):
         t = Trace()
-        t.record_phase("setup", 0, -1, 0.0, 0.5)
-        t.record_phase("map", 0, 0, 0.5, 2.0)
-        t.record_phase("reduce", 0, 0, 2.0, 2.5)
-        t.record_phase("map", 1, 0, 0.5, 1.5)
-        t.record_phase("map", 0, 1, 2.5, 3.5)
+        record_phase(t, "setup", 0, -1, 0.0, 0.5)
+        record_phase(t, "map", 0, 0, 0.5, 2.0)
+        record_phase(t, "reduce", 0, 0, 2.0, 2.5)
+        record_phase(t, "map", 1, 0, 0.5, 1.5)
+        record_phase(t, "map", 0, 1, 2.5, 3.5)
         return t
 
     def test_phase_spans_appended_in_order(self):
@@ -195,14 +199,14 @@ class TestPhaseSpans:
 
     def test_phase_breakdown_accumulates_repeated_phase(self):
         t = Trace()
-        t.record_phase("map", 0, 0, 0.0, 1.0)
-        t.record_phase("map", 0, 0, 1.0, 1.25)
+        record_phase(t, "map", 0, 0, 0.0, 1.0)
+        record_phase(t, "map", 0, 0, 1.0, 1.25)
         assert t.phase_breakdown()[0] == {"map": 1.25}
 
     def test_reversed_span_rejected(self):
         t = Trace()
         with pytest.raises(ValueError):
-            t.record_phase("map", 0, 0, 2.0, 1.0)
+            record_phase(t, "map", 0, 0, 2.0, 1.0)
 
 
 class TestObservedRates:
