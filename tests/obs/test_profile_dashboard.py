@@ -222,22 +222,27 @@ class TestDashboardCLI:
 
     def test_run_dashboard_out_matches_saved_render(self, capsys, tmp_path):
         # The tentpole acceptance gate: rendering the saved profile must
-        # be byte-identical to what the live run wrote.
-        shared = [
-            "--app", "cmeans", "--size", "600", "--nodes", "2",
-            "--iterations", "2",
+        # be byte-identical to what the live run wrote — also for a
+        # 4-rank GMM whose network slowdown fires alerts.
+        cases = [
+            ["--app", "cmeans", "--size", "600", "--nodes", "2",
+             "--iterations", "2"],
+            ["--app", "gmm", "--size", "1500", "--nodes", "4",
+             "--iterations", "4", "--faults", "net_slow@*:factor=3,t0=0,t1=1",
+             "--fault-seed", "7"],
         ]
-        live = tmp_path / "live.html"
-        assert main(["run", *shared, "--dashboard-out", str(live)]) == 0
-        profile = tmp_path / "saved.profile.jsonl"
-        assert main([
-            "trace", "export", *shared, "--format", "profile",
-            "--out", str(profile),
-        ]) == 0
-        saved = tmp_path / "saved.html"
-        assert main(["dashboard", str(profile), "--out", str(saved)]) == 0
-        capsys.readouterr()
-        assert live.read_bytes() == saved.read_bytes()
+        for shared in cases:
+            live = tmp_path / "live.html"
+            assert main(["run", *shared, "--dashboard-out", str(live)]) == 0
+            profile = tmp_path / "saved.profile.jsonl"
+            assert main([
+                "trace", "export", *shared, "--format", "profile",
+                "--out", str(profile),
+            ]) == 0
+            saved = tmp_path / "saved.html"
+            assert main(["dashboard", str(profile), "--out", str(saved)]) == 0
+            capsys.readouterr()
+            assert live.read_bytes() == saved.read_bytes()
 
 
 class TestRunSamplingFlags:
