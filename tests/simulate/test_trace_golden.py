@@ -117,6 +117,53 @@ def test_trace_views_match_golden(job):
     assert _views(run()) == pins
 
 
+#: Exact work counters of each job: engine events scheduled, sampler
+#: samples, ``repr`` of the makespan, and the sha256 of every span in
+#: the tracer — every category, including the net/recv/recovery/
+#: membership/alert spans the ``records`` view skips.  A job whose
+#: schedule gains or loses an event, process or span fails here.
+COUNTERS = {
+    "gemv-dynamic": {
+        "engine_events": 6749,
+        "sampler_samples": 7149,
+        "makespan": "0.03805368235769231",
+        "spans": "1d49250218ea01e1e633572037d5b147a41f3522a17c496c4f5d2e3aab56b04f",
+    },
+    "gmm-static": {
+        "engine_events": 6523,
+        "sampler_samples": 8847,
+        "makespan": "0.06415123796923082",
+        "spans": "7990cd0405e2059e1716dfd8e15d17dfa7de6061dbaa3e61f6f92cdb39bc3c8d",
+    },
+    "cmeans-chaos": {
+        "engine_events": 28142,
+        "sampler_samples": 48556,
+        "makespan": "0.19061083527884565",
+        "spans": "811e6d7230d4d829aba7169c176f0a8b8b0fb93889fba7c6f8ed81126ff92870",
+    },
+}
+
+
+def _counters(result) -> dict:
+    spans = [
+        (s.span_id, s.parent_id, s.name, s.track, s.category, s.start,
+         s.end, sorted(s.attrs.items()))
+        for s in result.trace.tracer.spans
+    ]
+    return {
+        "engine_events": result.engine_events,
+        "sampler_samples": result.sampler_samples,
+        "makespan": repr(result.makespan),
+        "spans": _sha(spans),
+    }
+
+
+@pytest.mark.parametrize("job", sorted(COUNTERS))
+def test_work_counters_match_golden(job):
+    run, _ = GOLDEN[job]
+    assert _counters(run()) == COUNTERS[job]
+
+
 #: sha256 of each job's host-profile call tree: the sorted
 #: ``(path, calls)`` pairs of every node.  Wall times vary run to run,
 #: but the scopes opened and how often they open are deterministic, so
