@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.granularity import cpu_block_count, min_block_size
 from repro.runtime.api import Block
-from repro.runtime.daemons import CpuDaemon, GpuDaemon
+from repro.runtime.daemons import CpuDaemon, GpuDaemon, run_map_block
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.registry import register_policy
 from repro.runtime.shuffle import KeyValue
@@ -89,19 +89,12 @@ class DynamicPolicy(SchedulingPolicy):
         # NB: pollers are generators evaluated lazily — the daemon each one
         # drives must be bound at definition time (default argument), not
         # via the enclosing scope, or a later loop variable would rebind it.
-        def cpu_poller(d: CpuDaemon) -> Generator[Event, Any, None]:
+        def poller(d: CpuDaemon | GpuDaemon) -> Generator[Event, Any, None]:
             while queue and sched.daemon_active(d):
                 self.note_queue_depth(len(queue))
                 block = queue.popleft()
                 self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
-
-        def gpu_poller(d: GpuDaemon) -> Generator[Event, Any, None]:
-            while queue and sched.daemon_active(d):
-                self.note_queue_depth(len(queue))
-                block = queue.popleft()
-                self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
+                yield from run_map_block(d, block, sink)
 
         procs = []
         cpu_daemon = sched.active_cpu_daemon
@@ -110,11 +103,11 @@ class DynamicPolicy(SchedulingPolicy):
             # pool stays saturated while work remains.
             for _ in range(sched.res.node.cpu.cores):
                 procs.append(
-                    engine.process(cpu_poller(cpu_daemon), name="cpu-poll")
+                    engine.process(poller(cpu_daemon), name="cpu-poll")
                 )
         for gpu_daemon in sched.active_gpu_daemons:
             procs.append(
-                engine.process(gpu_poller(gpu_daemon), name="gpu-poll")
+                engine.process(poller(gpu_daemon), name="gpu-poll")
             )
 
         yield engine.all_of(procs)

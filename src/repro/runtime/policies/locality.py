@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.runtime.api import Block
-from repro.runtime.daemons import CpuDaemon, GpuDaemon
+from repro.runtime.daemons import CpuDaemon, GpuDaemon, run_map_block
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.dynamic import dynamic_block_count
 from repro.runtime.policies.registry import register_policy
@@ -65,14 +65,14 @@ class LocalityDynamicPolicy(SchedulingPolicy):
                 self.note_queue_depth(len(queue))
                 block = pop_for_cpu(d)
                 self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
+                yield from run_map_block(d, block, sink)
 
         def gpu_poller(d: GpuDaemon) -> Generator[Event, Any, None]:
             while queue and sched.daemon_active(d):
                 self.note_queue_depth(len(queue))
                 block = pop_for_gpu(d)
                 self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
+                yield from run_map_block(d, block, sink)
 
         procs = []
         cpu_daemon = sched.active_cpu_daemon

@@ -6,7 +6,7 @@ from repro.hardware import Cluster, FatNode, generic_node
 from repro.hardware.cluster import NetworkSpec
 from repro.hardware.device import CpuSpec, GpuSpec
 from repro.runtime.api import Block
-from repro.runtime.daemons import GpuDaemon, NodeResources
+from repro.runtime.daemons import GpuDaemon, NodeResources, run_map_block
 from repro.runtime.job import JobConfig, Overheads
 from repro.simulate.engine import Engine
 from repro.simulate.trace import Trace
@@ -34,8 +34,8 @@ def run_block_twice(node, app, block):
     trace = Trace()
     daemon = GpuDaemon(NodeResources(engine, node), 0, app, QUIET_CONFIG, trace)
     sink = []
-    engine.run(engine.process(daemon.run_map_block(block, sink)))
-    engine.run(engine.process(daemon.run_map_block(block, sink)))
+    engine.run(engine.process(run_map_block(daemon, block, sink)))
+    engine.run(engine.process(run_map_block(daemon, block, sink)))
     return daemon, trace
 
 
@@ -67,7 +67,7 @@ class TestCapacityBoundedCache:
         sink = []
         blocks = Block(0, 1000).split(4)
         for block in blocks:
-            engine.run(engine.process(daemon.run_map_block(block, sink)))
+            engine.run(engine.process(run_map_block(daemon, block, sink)))
         cached = [b for b in blocks if daemon.is_cached(b)]
         assert len(cached) == 1  # 1000 B fits in 1843 B budget, 2000 B not
         assert daemon.cached_bytes <= 0.9 * node.gpu.memory_bytes

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.intensity import ConstantIntensity
 from repro.runtime.api import Block
-from repro.runtime.daemons import CpuDaemon, GpuDaemon, NodeResources
+from repro.runtime.daemons import CpuDaemon, GpuDaemon, NodeResources, run_map_block
 from repro.runtime.job import JobConfig, Overheads, Scheduling
 from repro.runtime.scheduler import SubTaskScheduler
 from repro.simulate.engine import Engine
@@ -87,7 +87,7 @@ class TestGpuDaemon:
         block = Block(0, 100)
         assert not daemon.is_cached(block)
         sink = []
-        engine.run(engine.process(daemon.run_map_block(block, sink)))
+        engine.run(engine.process(run_map_block(daemon, block, sink)))
         assert not daemon.is_cached(block)  # iterative=False: never cached
 
     def test_iterative_block_cached_after_first_pass(self, delta):
@@ -96,7 +96,7 @@ class TestGpuDaemon:
         daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
         block = Block(0, 100)
         sink = []
-        engine.run(engine.process(daemon.run_map_block(block, sink)))
+        engine.run(engine.process(run_map_block(daemon, block, sink)))
         assert daemon.is_cached(block)
         # A different span is not covered by the cache.
         assert not daemon.is_cached(Block(100, 200))
