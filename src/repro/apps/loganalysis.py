@@ -16,28 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from repro._validation import require_positive_int
 from repro.core.intensity import ConstantIntensity, IntensityProfile
 from repro.runtime.api import Block, MapReduceApp
-
-_PATHS = ["/", "/index.html", "/api/v1/jobs", "/static/app.js", "/data.csv"]
-_STATUS = [200, 200, 200, 200, 304, 404, 500]
-
-
-def synthesize_log(n_lines: int, seed: int = 0) -> list[str]:
-    """Generate Apache-combined-ish access log lines."""
-    require_positive_int("n_lines", n_lines)
-    rng = np.random.default_rng(seed)
-    lines = []
-    for _ in range(n_lines):
-        host = f"10.0.{rng.integers(0, 256)}.{rng.integers(0, 256)}"
-        path = _PATHS[rng.integers(0, len(_PATHS))]
-        status = _STATUS[rng.integers(0, len(_STATUS))]
-        size = int(rng.integers(128, 65536))
-        lines.append(f'{host} - - [07/Jul/2013:10:00:00] "GET {path}" '
-                     f"{status} {size}")
-    return lines
-
 
 def parse_line(line: str) -> tuple[str, str, int, int] | None:
     """(host, path, status, bytes) or None for malformed lines."""
@@ -63,10 +43,6 @@ class LogAnalysisApp(MapReduceApp):
         self._avg_bytes = float(np.mean([len(l) + 1 for l in lines]))
         # ~10 flops of integer work per ~70-byte line.
         self._intensity = ConstantIntensity(0.15, label="loganalysis")
-
-    @classmethod
-    def synthetic(cls, n_lines: int, seed: int = 0) -> "LogAnalysisApp":
-        return cls(synthesize_log(n_lines, seed))
 
     # ------------------------------------------------------------------
     def n_items(self) -> int:

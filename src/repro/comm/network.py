@@ -41,10 +41,6 @@ class NetworkModel:
         """Binomial-tree reduction (same round structure as bcast)."""
         return self.bcast(nbytes, ranks)
 
-    def allreduce(self, nbytes: float, ranks: int) -> float:
-        """Reduce followed by broadcast (the simulated implementation)."""
-        return self.reduce(nbytes, ranks) + self.bcast(nbytes, ranks)
-
     def gather(self, nbytes_per_rank: float, ranks: int) -> float:
         """Linear gather at the root: ``P-1`` incoming messages.
 
@@ -60,12 +56,6 @@ class NetworkModel:
         """Linear scatter from the root: ``P-1`` outgoing messages."""
         return self.gather(nbytes_per_rank, ranks)
 
-    def allgather(self, nbytes_per_rank: float, ranks: int) -> float:
-        """Gather to root + broadcast of the concatenation."""
-        return self.gather(nbytes_per_rank, ranks) + self.bcast(
-            nbytes_per_rank * ranks, ranks
-        )
-
     def alltoall(self, nbytes_per_pair: float, ranks: int) -> float:
         """Pairwise-exchange personalized all-to-all (the PRS shuffle).
 
@@ -79,7 +69,3 @@ class NetworkModel:
         require_nonnegative("nbytes_per_pair", nbytes_per_pair)
         require_positive_int("ranks", ranks)
         return (ranks - 1) * self.p2p(nbytes_per_pair)
-
-    def barrier(self, ranks: int) -> float:
-        """Zero-byte allreduce."""
-        return self.allreduce(0.0, ranks)

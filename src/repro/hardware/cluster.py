@@ -66,22 +66,6 @@ class Cluster:
     def peak_gflops(self) -> float:
         return sum(n.peak_gflops for n in self.nodes)
 
-    def subset(self, n_nodes: int) -> "Cluster":
-        """Return a cluster using the first *n_nodes* nodes.
-
-        Weak-scaling sweeps (Figure 6) call this to grow the machine.
-        """
-        if not 1 <= n_nodes <= len(self.nodes):
-            raise ValueError(
-                f"cluster {self.name} has {len(self.nodes)} nodes, "
-                f"cannot take {n_nodes}"
-            )
-        return Cluster(
-            name=f"{self.name}[{n_nodes}]",
-            nodes=self.nodes[:n_nodes],
-            network=self.network,
-        )
-
     def node(self, rank: int) -> FatNode:
         """The fat node at *rank* (master is rank 0 in the runtime)."""
         return self.nodes[rank]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.apps.loganalysis import LogAnalysisApp, parse_line, synthesize_log
+from repro.apps.loganalysis import LogAnalysisApp, parse_line
 from repro.runtime.api import Block
 from repro.runtime.shuffle import group_by_key
+from tests.helpers import synthesize_log, synthetic_log_app
 
 
 class TestParsing:
@@ -22,7 +23,7 @@ class TestParsing:
 
 class TestApp:
     def test_blockwise_matches_reference(self):
-        app = LogAnalysisApp.synthetic(500, seed=1)
+        app = synthetic_log_app(500, seed=1)
         pairs = []
         for lo in range(0, 500, 37):
             pairs.extend(app.cpu_map(Block(lo, min(lo + 37, 500))))
@@ -32,7 +33,7 @@ class TestApp:
         assert reduced == app.reference()
 
     def test_status_classes_cover_all_lines(self):
-        app = LogAnalysisApp.synthetic(300, seed=2)
+        app = synthetic_log_app(300, seed=2)
         ref = app.reference()
         total = sum(v for k, v in ref.items() if k[0] == "status")
         assert total == 300
@@ -45,14 +46,14 @@ class TestApp:
     def test_low_intensity_cpu_dominated(self, delta):
         from repro.core.analytic import workload_split
 
-        app = LogAnalysisApp.synthetic(100)
+        app = synthetic_log_app(100)
         assert workload_split(delta, app.intensity(), staged=True).p > 0.95
 
     def test_runs_on_prs(self, delta4):
         from repro.runtime.job import JobConfig
         from repro.runtime.prs import PRSRuntime
 
-        app = LogAnalysisApp.synthetic(800, seed=4)
+        app = synthetic_log_app(800, seed=4)
         result = PRSRuntime(delta4, JobConfig()).run(app)
         assert result.output == app.reference()
 
@@ -66,7 +67,7 @@ class TestApp:
                 return False
 
         with_comb = PRSRuntime(delta4, JobConfig()).run(
-            LogAnalysisApp.synthetic(2000, seed=5)
+            synthetic_log_app(2000, seed=5)
         )
         without = PRSRuntime(delta4, JobConfig()).run(
             NoCombiner(synthesize_log(2000, seed=5))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm.mpi import World, run_spmd
+from tests.helpers import allreduce
 from repro.hardware.cluster import NetworkSpec
 from repro.simulate.engine import Engine
 
@@ -70,7 +71,7 @@ class TestIngressContention:
         world = make_world(6, contended=True)
 
         def main(comm):
-            total = yield from comm.allreduce(comm.rank, operator.add)
+            total = yield from allreduce(comm, comm.rank, operator.add)
             gathered = yield from comm.gather(comm.rank * 2)
             return total, gathered
 

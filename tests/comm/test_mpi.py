@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.comm.mpi import World, payload_nbytes, run_spmd
 from repro.hardware.cluster import NetworkSpec
 from repro.simulate.engine import Engine, SimulationError
+from tests.helpers import allgather, allreduce, barrier
 
 
 def make_world(size, latency=0.0, bandwidth=1.0, same_node=False):
@@ -178,7 +179,7 @@ class TestCollectives:
         world = make_world(size)
 
         def main(comm):
-            result = yield from comm.allreduce(comm.rank, operator.add)
+            result = yield from allreduce(comm, comm.rank, operator.add)
             return result
 
         expected = size * (size - 1) // 2
@@ -189,7 +190,7 @@ class TestCollectives:
 
         def main(comm):
             vec = np.full(3, float(comm.rank))
-            result = yield from comm.allreduce(vec, np.add)
+            result = yield from allreduce(comm, vec, np.add)
             return result
 
         for r in run_spmd(world, main):
@@ -232,7 +233,7 @@ class TestCollectives:
         world = make_world(4)
 
         def main(comm):
-            result = yield from comm.allgather(comm.rank)
+            result = yield from allgather(comm, comm.rank)
             return result
 
         assert run_spmd(world, main) == [[0, 1, 2, 3]] * 4
@@ -279,7 +280,7 @@ class TestCollectives:
         def main(comm):
             # Rank r works r seconds, then all must leave barrier together.
             yield comm.engine.timeout(float(comm.rank))
-            yield from comm.barrier()
+            yield from barrier(comm)
             return comm.engine.now
 
         results = run_spmd(world, main)
@@ -293,7 +294,7 @@ class TestCollectives:
         world = make_world(size)
 
         def main(comm):
-            result = yield from comm.allreduce(float(values[comm.rank]), operator.add)
+            result = yield from allreduce(comm, float(values[comm.rank]), operator.add)
             return result
 
         for r in run_spmd(world, main):

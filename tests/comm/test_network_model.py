@@ -25,29 +25,16 @@ class TestCostModels:
         assert model.bcast(1e9, 8) == pytest.approx(3 * model.p2p(1e9))
         assert model.bcast(1e9, 9) == pytest.approx(4 * model.p2p(1e9))
 
-    def test_allreduce_is_reduce_plus_bcast(self, model):
-        assert model.allreduce(1e6, 4) == pytest.approx(
-            model.reduce(1e6, 4) + model.bcast(1e6, 4)
-        )
-
     def test_gather_linear(self, model):
         assert model.gather(1e6, 5) == pytest.approx(4 * model.p2p(1e6))
 
     def test_scatter_equals_gather(self, model):
         assert model.scatter(1e6, 7) == model.gather(1e6, 7)
 
-    def test_allgather(self, model):
-        expected = model.gather(1e6, 4) + model.bcast(4e6, 4)
-        assert model.allgather(1e6, 4) == pytest.approx(expected)
-
-    def test_barrier_is_latency_only(self, model):
-        # zero bytes: pure alpha cost
-        assert model.barrier(8) == pytest.approx(6 * 1e-5)
-
     @settings(max_examples=30, deadline=None)
     @given(nbytes=st.floats(0, 1e9), ranks=st.integers(1, 64))
     def test_costs_nonnegative_and_monotone_in_ranks(self, model, nbytes, ranks):
-        for fn in (model.bcast, model.reduce, model.allreduce, model.gather):
+        for fn in (model.bcast, model.reduce, model.gather):
             cost = fn(nbytes, ranks)
             assert cost >= 0.0
             assert fn(nbytes, ranks + 1) >= cost - 1e-12

@@ -8,6 +8,7 @@ import pytest
 from repro.comm.mpi import World, run_spmd
 from repro.hardware.cluster import NetworkSpec
 from repro.simulate.engine import Engine
+from tests.helpers import allreduce, allreduce_ring
 
 
 def make_world(size, latency=0.0, bandwidth=1.0):
@@ -20,7 +21,7 @@ def make_world(size, latency=0.0, bandwidth=1.0):
 
 def ring_sum(world, vectors):
     def main(comm):
-        result = yield from comm.allreduce_ring(vectors[comm.rank])
+        result = yield from allreduce_ring(comm, vectors[comm.rank])
         return result
 
     return run_spmd(world, main)
@@ -41,9 +42,9 @@ class TestCorrectness:
         vectors = [rng.normal(size=64) for _ in range(size)]
 
         def main(comm):
-            ring = yield from comm.allreduce_ring(vectors[comm.rank])
-            tree = yield from comm.allreduce(
-                vectors[comm.rank].copy(), np.add, tag=-500
+            ring = yield from allreduce_ring(comm, vectors[comm.rank])
+            tree = yield from allreduce(
+                comm, vectors[comm.rank].copy(), np.add, tag=-500
             )
             return ring, tree
 
@@ -66,7 +67,7 @@ class TestCorrectness:
         world = make_world(2)
 
         def main(comm):
-            result = yield from comm.allreduce_ring(3.0)
+            result = yield from allreduce_ring(comm, 3.0)
             return result
 
         with pytest.raises(TypeError):
@@ -95,9 +96,9 @@ class TestTiming:
 
             def main(comm):
                 if method == "ring":
-                    yield from comm.allreduce_ring(vectors[comm.rank])
+                    yield from allreduce_ring(comm, vectors[comm.rank])
                 else:
-                    yield from comm.allreduce(vectors[comm.rank], np.add)
+                    yield from allreduce(comm, vectors[comm.rank], np.add)
                 return comm.engine.now
 
             return max(run_spmd(world, main))
@@ -117,9 +118,9 @@ class TestTiming:
 
             def main(comm):
                 if method == "ring":
-                    yield from comm.allreduce_ring(vectors[comm.rank])
+                    yield from allreduce_ring(comm, vectors[comm.rank])
                 else:
-                    yield from comm.allreduce(vectors[comm.rank], np.add)
+                    yield from allreduce(comm, vectors[comm.rank], np.add)
                 return comm.engine.now
 
             return max(run_spmd(world, main))

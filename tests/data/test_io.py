@@ -79,7 +79,8 @@ class TestLinesAndCorpus:
 
     def test_loganalysis_via_files(self, tmp_path):
         """End-to-end: synthesize a log, persist, reload, analyse."""
-        from repro.apps.loganalysis import LogAnalysisApp, synthesize_log
+        from repro.apps.loganalysis import LogAnalysisApp
+        from tests.helpers import synthesize_log
 
         lines = synthesize_log(50, seed=3)
         path = tmp_path / "access.log"

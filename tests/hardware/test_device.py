@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware.device import CpuSpec, DeviceKind, DeviceSpec, GpuSpec
+from tests.helpers import scaled
 
 
 def make_gpu(peak=1000.0, dram=100.0, pcie=10.0, queues=1):
@@ -115,11 +116,11 @@ class TestRidgeAndAttainable:
 class TestScaled:
     def test_scaled_changes_only_peak(self):
         gpu = make_gpu(peak=1000.0)
-        faster = gpu.scaled(2.0)
+        faster = scaled(gpu, 2.0)
         assert faster.peak_gflops == 2000.0
         assert faster.dram_bandwidth == gpu.dram_bandwidth
         assert faster.pcie_bandwidth == gpu.pcie_bandwidth
 
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            make_gpu().scaled(0.0)
+            scaled(make_gpu(), 0.0)

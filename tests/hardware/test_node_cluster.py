@@ -83,15 +83,6 @@ class TestCluster:
                         nodes=(delta4.nodes[0], bigred2_node()))
         assert not mixed.is_homogeneous
 
-    def test_subset_counts(self, delta8):
-        assert delta8.subset(3).n_nodes == 3
-
-    def test_subset_bounds(self, delta4):
-        with pytest.raises(ValueError):
-            delta4.subset(0)
-        with pytest.raises(ValueError):
-            delta4.subset(5)
-
     def test_requires_nodes(self):
         with pytest.raises(ValueError):
             Cluster(name="empty", nodes=())

@@ -13,6 +13,7 @@ from repro.data.synth import gaussian_mixture
 from repro.hardware import Cluster, delta_cluster, delta_node
 from repro.runtime.job import JobConfig, Overheads, Scheduling
 from repro.runtime.prs import PRSRuntime
+from tests.helpers import scaled
 
 QUIET = Overheads(0.0, 0.0, 0.0, 0.0)
 
@@ -99,7 +100,7 @@ class TestDynamicAdaptsToPerturbedDevices:
         slow = FatNode(
             name="slow",
             cpu=base.cpu,
-            gpus=(base.gpu.scaled(gpu_factor),),
+            gpus=(scaled(base.gpu, gpu_factor),),
         )
         return Cluster(name="slow", nodes=(slow,))
 
