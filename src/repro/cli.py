@@ -199,7 +199,6 @@ def _run_job(args: argparse.Namespace):
 
     cluster = _cluster_for(args.node, args.nodes)
     app = _build_app(args)
-    policy = args.policy if args.policy is not None else args.scheduling
     fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
     if args.no_sample:
         sample_interval = None
@@ -208,7 +207,7 @@ def _run_job(args: argparse.Namespace):
     else:
         sample_interval = DEFAULT_SAMPLE_INTERVAL
     config = JobConfig(
-        scheduling=policy,
+        scheduling=args.policy,
         use_cpu=not args.gpu_only,
         use_gpu=not args.cpu_only,
         faults=args.faults or None,
@@ -616,12 +615,22 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     return 1
 
 
+def _load_profile(path: str):
+    """Load a saved profile; a missing or malformed file exits with a
+    message naming it instead of a traceback."""
+    from repro.obs.profile import load_profile
+
+    try:
+        return load_profile(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{path}: cannot load profile: {exc}") from None
+
+
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render saved profile(s) into standalone HTML dashboards."""
     import pathlib
 
     from repro.obs.dashboard import render_dashboard
-    from repro.obs.profile import load_profile
 
     paths: list[str] = []
     for raw in args.profiles:
@@ -637,14 +646,12 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
                     f"no *.profile.jsonl / *.trace.json profiles under {raw!r}"
                 )
             paths.extend(found)
-        elif p.exists():
-            paths.append(str(p))
         else:
-            raise SystemExit(f"profile not found: {raw!r}")
+            paths.append(str(p))
     if args.out is not None and len(paths) > 1:
         raise SystemExit("--out needs exactly one input profile")
     for path in paths:
-        page = render_dashboard(load_profile(path))
+        page = render_dashboard(_load_profile(path))
         if args.out == "-":
             sys.stdout.write(page)
             continue
@@ -667,9 +674,8 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.report import render_selfprof
-    from repro.obs.profile import load_profile
 
-    host = load_profile(args.file).host
+    host = _load_profile(args.file).host
     if host is None:
         raise SystemExit(
             f"{args.file}: no host self-profile found — produce one with "
@@ -704,9 +710,7 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
 
 def cmd_logs(args: argparse.Namespace) -> int:
     """Browse the structured event log of a saved schema-v3 profile."""
-    from repro.obs.profile import load_profile
-
-    profile = load_profile(args.file)
+    profile = _load_profile(args.file)
     log = profile.log
     if log is None:
         raise SystemExit(
@@ -1066,13 +1070,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clusters", type=int, default=5)
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scheduling", choices=["static", "dynamic"],
-                        default="static")
     from repro.runtime.policies import available_policies
 
-    parser.add_argument("--policy", default=None, metavar="POLICY",
-                        help="scheduling policy from the registry (overrides "
-                             f"--scheduling): {', '.join(available_policies())}"
+    parser.add_argument("--policy", default="static", metavar="POLICY",
+                        help="scheduling policy from the registry: "
+                             f"{', '.join(available_policies())}"
                              "; see `repro policies`")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--gpu-only", action="store_true")

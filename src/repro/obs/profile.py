@@ -173,7 +173,14 @@ def loads_profile(text: str) -> LoadedProfile:
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"profile line {i + 1}: not JSON ({exc.msg})"
+            ) from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"profile line {i + 1}: not a JSON object")
         if "profile_meta" in obj:
             meta = dict(obj["profile_meta"])
         elif "span_id" in obj:

@@ -70,7 +70,7 @@ class TestRun:
     def test_wordcount_dynamic(self, capsys):
         code = main([
             "run", "--app", "wordcount", "--size", "50",
-            "--scheduling", "dynamic",
+            "--policy", "dynamic",
         ])
         assert code == 0
 
@@ -681,3 +681,18 @@ class TestLogsCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "ERROR log records pair" in out
+
+
+@pytest.mark.parametrize("content", ["not a profile\n", None],
+                         ids=["text-file", "missing"])
+@pytest.mark.parametrize("command", ["selfprof", "dashboard", "logs"])
+def test_unloadable_profile_exits_naming_the_file(command, content, tmp_path):
+    path = tmp_path / "notes.txt"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(path)])
+    message = str(excinfo.value.code)
+    assert str(path) in message
+    if content is not None:
+        assert "profile line 1" in message
