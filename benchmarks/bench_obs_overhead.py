@@ -153,7 +153,40 @@ def _canon_output(output):
     }
 
 
-def build_selfprof_sweep():
+#: per observer: the ``_run_workload`` option that switches it on, the
+#: table title, its extra table columns as (header, entry key) pairs,
+#: and the entry fields beyond the shared ones
+OBSERVERS = {
+    "selfprof": (
+        {"selfprof": True},
+        "Self-profiler overhead: host CPU time with selfprof on vs off",
+        [],
+        lambda plain, on, walls: {
+            "wall_s_plain": min(walls[0]),
+            "wall_s_selfprof": min(walls[1]),
+            "plain_has_no_profile": plain.selfprofile is None,
+            "hotspots": (
+                len(on.selfprofile.top_exclusive(10)) if on.selfprofile else 0
+            ),
+        },
+    ),
+    "logging": (
+        {"log_level": "debug"},
+        "Event-log overhead: host CPU time with log_level=debug vs logging "
+        "off",
+        [("records", "records_emitted")],
+        lambda plain, on, walls: {
+            "records_emitted": on.logs.emitted if on.logs else 0,
+            "plain_has_no_log": plain.logs is None,
+        },
+    ),
+}
+
+
+def build_overhead_sweep(observer):
+    """Host CPU-time overhead of *observer* (a key of :data:`OBSERVERS`)
+    over the sweep, with the zero-perturbation checks of every run."""
+    on_kwargs, title, columns, describe = OBSERVERS[observer]
     entries = {}
     rows = []
     weights: dict[str, tuple[float, float]] = {}
@@ -161,11 +194,11 @@ def build_selfprof_sweep():
         # One warmup per side, then paired timed rounds with the order
         # flipped every round; each pair yields one CPU-time ratio.
         plain = _run_workload(spec)
-        prof = _run_workload(spec, selfprof=True)
+        on = _run_workload(spec, **on_kwargs)
         wp: list[float] = []
-        ws: list[float] = []
+        wo: list[float] = []
         cp: list[float] = []
-        cs: list[float] = []
+        co: list[float] = []
 
         def timed(runner, walls, cpus):
             t0, c0 = perf_counter(), process_time()
@@ -177,44 +210,41 @@ def build_selfprof_sweep():
         for i in range(WALL_ROUNDS + 2):
             if i % 2 == 0:
                 plain = timed(lambda: _run_workload(spec), wp, cp)
-                prof = timed(
-                    lambda: _run_workload(spec, selfprof=True), ws, cs)
+                on = timed(
+                    lambda: _run_workload(spec, **on_kwargs), wo, co)
             else:
-                prof = timed(
-                    lambda: _run_workload(spec, selfprof=True), ws, cs)
+                on = timed(
+                    lambda: _run_workload(spec, **on_kwargs), wo, co)
                 plain = timed(lambda: _run_workload(spec), wp, cp)
-        ratio = median(s / p for p, s in zip(cp, cs))
+        ratio = median(o / p for p, o in zip(cp, co))
         LAST_WALL[f"{spec.name}-plain"] = {
             "min_s": min(wp), "max_s": max(wp), "rounds": len(wp)}
-        LAST_WALL[f"{spec.name}-selfprof"] = {
-            "min_s": min(ws), "max_s": max(ws), "rounds": len(ws)}
+        LAST_WALL[f"{spec.name}-{observer}"] = {
+            "min_s": min(wo), "max_s": max(wo), "rounds": len(wo)}
         weights[spec.name] = (ratio, min(cp))
-        host = prof.selfprofile
-        entries[spec.name] = {
+        entry = entries[spec.name] = {
             "spec": spec.to_dict(),
-            "wall_s_plain": min(wp),
-            "wall_s_selfprof": min(ws),
             "cpu_s_plain": min(cp),
-            "cpu_s_selfprof": min(cs),
+            f"cpu_s_{observer}": min(co),
             "cpu_overhead": ratio - 1.0,
             "engine_events_identical":
-                prof.engine_events == plain.engine_events,
-            "makespan_identical": prof.makespan == plain.makespan,
+                on.engine_events == plain.engine_events,
+            "makespan_identical": on.makespan == plain.makespan,
             "outputs_identical":
-                _canon_output(prof.output) == _canon_output(plain.output),
+                _canon_output(on.output) == _canon_output(plain.output),
             "sampler_samples_identical":
-                prof.sampler_samples == plain.sampler_samples,
-            "plain_has_no_profile": plain.selfprofile is None,
-            "hotspots": len(host.top_exclusive(10)) if host else 0,
+                on.sampler_samples == plain.sampler_samples,
+            **describe(plain, on, (wp, wo)),
         }
         rows.append([
             spec.name,
             f"{min(cp) * 1e3:.1f}",
-            f"{min(cs) * 1e3:.1f}",
+            f"{min(co) * 1e3:.1f}",
             f"{ratio - 1.0:+.1%}",
-            "yes" if entries[spec.name]["engine_events_identical"]
-            and entries[spec.name]["makespan_identical"]
-            and entries[spec.name]["outputs_identical"] else "NO",
+            *(str(entry[key]) for _, key in columns),
+            "yes" if entry["engine_events_identical"]
+            and entry["makespan_identical"]
+            and entry["outputs_identical"] else "NO",
         ])
     # Sweep overhead: CPU-weighted mean of the per-workload median
     # ratios — a long workload's overhead counts for more than a 30 ms
@@ -223,110 +253,41 @@ def build_selfprof_sweep():
     overall = sum((r - 1.0) * p / total_cpu for r, p in weights.values())
     table = format_table(
         ["workload", "cpu off (ms)", "cpu on (ms)", "overhead",
+         *(header for header, _ in columns),
          "results identical"],
         rows,
-        title=(f"Self-profiler overhead: host CPU time with selfprof on "
-               f"vs off (sweep {overall:+.1%})"),
+        title=f"{title} (sweep {overall:+.1%})",
     )
     payload = {
-        "schema_version": 1,
-        "benchmark": "selfprof_overhead",
-        "max_cpu_overhead": MAX_SELFPROF_OVERHEAD,
+        "benchmark": f"{observer}_overhead",
         "cpu_overhead_total": overall,
         "workloads": entries,
     }
     return table, payload
 
 
-def build_logging_sweep():
-    entries = {}
-    rows = []
-    weights: dict[str, tuple[float, float]] = {}
-    for spec in DEFAULT_WORKLOADS:
-        plain = _run_workload(spec)
-        logged = _run_workload(spec, log_level="debug")
-        wp: list[float] = []
-        wl: list[float] = []
-        cp: list[float] = []
-        cl: list[float] = []
-
-        def timed(runner, walls, cpus):
-            t0, c0 = perf_counter(), process_time()
-            out = runner()
-            cpus.append(process_time() - c0)
-            walls.append(perf_counter() - t0)
-            return out
-
-        for i in range(WALL_ROUNDS + 2):
-            if i % 2 == 0:
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-                logged = timed(
-                    lambda: _run_workload(spec, log_level="debug"), wl, cl)
-            else:
-                logged = timed(
-                    lambda: _run_workload(spec, log_level="debug"), wl, cl)
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-        ratio = median(s / p for p, s in zip(cp, cl))
-        LAST_WALL[f"{spec.name}-plain"] = {
-            "min_s": min(wp), "max_s": max(wp), "rounds": len(wp)}
-        LAST_WALL[f"{spec.name}-logging"] = {
-            "min_s": min(wl), "max_s": max(wl), "rounds": len(wl)}
-        weights[spec.name] = (ratio, min(cp))
-        entries[spec.name] = {
-            "spec": spec.to_dict(),
-            "cpu_s_plain": min(cp),
-            "cpu_s_logging": min(cl),
-            "cpu_overhead": ratio - 1.0,
-            "records_emitted": logged.logs.emitted if logged.logs else 0,
-            "engine_events_identical":
-                logged.engine_events == plain.engine_events,
-            "makespan_identical": logged.makespan == plain.makespan,
-            "outputs_identical":
-                _canon_output(logged.output) == _canon_output(plain.output),
-            "sampler_samples_identical":
-                logged.sampler_samples == plain.sampler_samples,
-            "plain_has_no_log": plain.logs is None,
-        }
-        rows.append([
-            spec.name,
-            f"{min(cp) * 1e3:.1f}",
-            f"{min(cl) * 1e3:.1f}",
-            f"{ratio - 1.0:+.1%}",
-            str(entries[spec.name]["records_emitted"]),
-            "yes" if entries[spec.name]["engine_events_identical"]
-            and entries[spec.name]["makespan_identical"]
-            and entries[spec.name]["outputs_identical"] else "NO",
-        ])
-    total_cpu = sum(p for _, p in weights.values())
-    overall = sum((r - 1.0) * p / total_cpu for r, p in weights.values())
-    table = format_table(
-        ["workload", "cpu off (ms)", "cpu on (ms)", "overhead",
-         "records", "results identical"],
-        rows,
-        title=(f"Event-log overhead: host CPU time with log_level=debug "
-               f"vs logging off (sweep {overall:+.1%})"),
-    )
-    payload = {
-        "benchmark": "logging_overhead",
-        "max_cpu_overhead": MAX_LOGGING_OVERHEAD,
-        "cpu_overhead_total": overall,
-        "workloads": entries,
-    }
-    return table, payload
-
-
-def test_logging_overhead():
+def best_overhead_sweep(observer, bound):
+    """The lowest-overhead of up to :data:`MAX_OVERHEAD_ATTEMPTS` sweeps,
+    stopping at the first under *bound*; every attempt's sweep overhead
+    is kept under ``overhead_attempts``."""
     attempts: list[float] = []
     table = payload = None
     for _ in range(MAX_OVERHEAD_ATTEMPTS):
-        t, p = build_logging_sweep()
+        t, p = build_overhead_sweep(observer)
         attempts.append(p["cpu_overhead_total"])
         if payload is None or (p["cpu_overhead_total"]
                                < payload["cpu_overhead_total"]):
             table, payload = t, p
-        if payload["cpu_overhead_total"] < MAX_LOGGING_OVERHEAD:
+        if payload["cpu_overhead_total"] < bound:
             break
+    payload["max_cpu_overhead"] = bound
     payload["overhead_attempts"] = attempts
+    return table, payload, attempts
+
+
+def test_logging_overhead():
+    table, payload, attempts = best_overhead_sweep(
+        "logging", MAX_LOGGING_OVERHEAD)
     save_table("logging_overhead", table)
     # The gate rides in BENCH_obs_overhead.json next to the sampler
     # sweep: both guard the same zero-perturbation contract.
@@ -350,17 +311,9 @@ def test_logging_overhead():
 
 
 def test_selfprof_overhead():
-    attempts: list[float] = []
-    table = payload = None
-    for _ in range(MAX_OVERHEAD_ATTEMPTS):
-        t, p = build_selfprof_sweep()
-        attempts.append(p["cpu_overhead_total"])
-        if payload is None or (p["cpu_overhead_total"]
-                               < payload["cpu_overhead_total"]):
-            table, payload = t, p
-        if payload["cpu_overhead_total"] < MAX_SELFPROF_OVERHEAD:
-            break
-    payload["overhead_attempts"] = attempts
+    table, payload, attempts = best_overhead_sweep(
+        "selfprof", MAX_SELFPROF_OVERHEAD)
+    payload["schema_version"] = 1
     save_table("selfprof_overhead", table)
     save_json("selfprof_overhead", payload)
 
