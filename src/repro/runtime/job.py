@@ -133,8 +133,9 @@ class JobConfig:
     #: fixed runtime overheads charged by the simulator
     overheads: Overheads = field(default_factory=Overheads)
     #: fault injection plan: a :class:`repro.simulate.faults.FaultPlan`,
-    #: a spec string/dict, or a list of them; ``None`` disables fault
-    #: machinery entirely (the zero-fault path stays bit-identical)
+    #: a spec string/dict, or a list of them; ``None`` (or an empty plan)
+    #: builds no fault machinery, so the job's single epoch keeps the
+    #: zero-fault schedule bit-identical
     faults: Any = None
     #: retry/backoff/blacklist/heartbeat/checkpoint knobs for recovery
     fault_policy: FaultPolicy = field(default_factory=FaultPolicy)
@@ -152,8 +153,8 @@ class JobConfig:
     #: elastic membership: start the job on the first N pool nodes
     #: instead of all of them (``join``/``drain`` events and the
     #: autoscaler then walk the live set within the pool).  ``None``
-    #: starts on every node; any value routes the job through the
-    #: fault-tolerant/elastic driver.
+    #: starts on every node; any value builds the fault machinery and
+    #: the elastic membership view of the job's epoch loop.
     initial_nodes: int | None = None
     #: closed-loop autoscaler watching the sampled series: an
     #: :class:`repro.runtime.autoscale.AutoscalePolicy`, a dict of its

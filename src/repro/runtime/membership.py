@@ -1,9 +1,10 @@
 """Elastic cluster membership: a versioned view of the live rank set.
 
-The fault-tolerant driver (PR 3) already runs a job as a sequence of
-*epochs* over one shared engine — but the only membership transition it
-knows is involuntary death.  This module makes membership a first-class,
-mutable input to the Equation (8) partition refit:
+The job driver (:meth:`repro.runtime.prs.PRSRuntime.run`) runs every job
+as a sequence of *epochs* over one shared engine; a fault-free job is a
+single epoch.  Without this module the only membership transition would
+be involuntary death.  It makes membership a first-class, mutable input
+to the Equation (8) partition refit:
 
 * :class:`ClusterView` is the master-owned versioned view — epoch
   counter, live member set over a fixed node *pool*, per-rank device

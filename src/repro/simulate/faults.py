@@ -28,7 +28,7 @@ Spec grammar (see docs/FAULTS.md for the full reference)::
 range ``lo~hi`` sampled uniformly from the plan's seed.
 
 Membership events (``join``/``drain``) are carried by the plan but never
-injected by :class:`FaultState` — the elastic driver applies them at
+injected by :class:`FaultState` — the job driver applies them at
 iteration boundaries through :mod:`repro.runtime.membership` (see
 docs/FAULTS.md "Elasticity").
 
